@@ -97,6 +97,8 @@ class RoutingInstance:
             coords = _readonly(self.coords)
             if coords.ndim != 2 or coords.shape[1] != 2:
                 raise BdmtspError("coords must be an (n, 2) array")
+            if not np.all(np.isfinite(coords)):
+                raise BdmtspError("coordinates must be finite")
             object.__setattr__(self, "coords", coords)
         if self.dist is not None:
             dist = _readonly(self.dist)
@@ -186,6 +188,8 @@ class DynamicsScope:
         else:
             if not isinstance(v, (int, float, Fraction)) or v <= 0:
                 raise ScopeError(f"{self.kind} scope must be positive")
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ScopeError(f"{self.kind} scope must be finite")
             if self.kind in ("relative", "m_relative") and v > 1:
                 raise ScopeError(f"{self.kind} scope must lie in (0, 1]")
 
@@ -261,7 +265,8 @@ def resolve_scope(scope: DynamicsScope, m: int, n: int) -> int:
     if scope.kind == "absolute":
         k = int(scope.value)
     elif scope.kind == "m_absolute":
-        k = round_half_up(m * scope.value)
+        # clamping first keeps a huge finite value from overflowing to inf
+        k = round_half_up(min(m * scope.value, customers))
     elif scope.kind == "relative":
         k = round_half_up(customers * scope.value)
     else:  # m_relative

@@ -13,6 +13,7 @@ import io as _stdio
 import math
 from dataclasses import dataclass, field
 from datetime import datetime
+from itertools import repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -26,7 +27,7 @@ from .core import (
     ParseError,
     RoutingInstance,
 )
-from .geometry import GeoPoint, TripRecord, haversine
+from .geometry import EARTH_RADIUS_KM, GeoPoint, TripRecord, haversine
 
 __all__ = [
     "RawCvrpInstance",
@@ -87,17 +88,25 @@ def _section(sections, name: str) -> list[str] | None:
 
 
 def _parse_coords(lines: Sequence[str], n: int) -> np.ndarray:
+    """Coordinate rows in file order; the ids must be a permutation of 1..n."""
     coords = np.empty((n, 2))
     if len(lines) != n:
         raise ParseError(f"expected {n} coordinate rows, found {len(lines)}")
+    seen: set[int] = set()
     for i, line in enumerate(lines):
         parts = line.split()
         if len(parts) != 3:
             raise ParseError(f"bad coordinate row: {line!r}")
         try:
+            node = int(parts[0])
             coords[i] = (float(parts[1]), float(parts[2]))
-        except ValueError as exc:
+        except ValueError:
             raise ParseError(f"bad coordinate row: {line!r}") from None
+        if not 1 <= node <= n:
+            raise ParseError(f"node id {node} outside 1..{n}")
+        if node in seen:
+            raise ParseError(f"duplicate node id {node}")
+        seen.add(node)
     return coords
 
 
@@ -167,21 +176,21 @@ def parse_tsplib(text: str) -> RoutingInstance:
         lines = _section(sections, "NODE_COORD_SECTION")
         if lines is None:
             raise ParseError("EUC_2D instance lacks NODE_COORD_SECTION")
-        coords = _parse_coords(lines, n)
-        return RoutingInstance(name=name, metric=EUCLID2D, coords=coords)
-    if ewt == "EXPLICIT":
+        data = {"metric": EUCLID2D, "coords": _parse_coords(lines, n)}
+    elif ewt == "EXPLICIT":
         layout = fields.get("EDGE_WEIGHT_FORMAT", "FULL_MATRIX").upper()
         if layout not in _EXPLICIT_FORMATS:
             raise ParseError(f"unsupported EDGE_WEIGHT_FORMAT {layout!r}")
         lines = _section(sections, "EDGE_WEIGHT_SECTION")
         if lines is None:
             raise ParseError("EXPLICIT instance lacks EDGE_WEIGHT_SECTION")
-        dist = _parse_explicit(lines, n, layout)
-        try:
-            return RoutingInstance(name=name, metric=EXPLICIT, dist=dist)
-        except BdmtspError as exc:
-            raise ParseError(str(exc)) from None
-    raise ParseError(f"unsupported EDGE_WEIGHT_TYPE {ewt!r}")
+        data = {"metric": EXPLICIT, "dist": _parse_explicit(lines, n, layout)}
+    else:
+        raise ParseError(f"unsupported EDGE_WEIGHT_TYPE {ewt!r}")
+    try:
+        return RoutingInstance(name=name, **data)
+    except BdmtspError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def dump_tsplib(instance: RoutingInstance) -> str:
@@ -224,10 +233,12 @@ class RawCvrpInstance:
         object.__setattr__(self, "coords", coords)
         if coords.ndim != 2 or coords.shape[1] != 2 or len(coords) < 2:
             raise BdmtspError("coords must be an (n, 2) array with n >= 2")
+        if not np.all(np.isfinite(coords)):
+            raise BdmtspError("coordinates must be finite")
         if len(self.demands) != len(coords):
             raise BdmtspError("demands must align with coords")
-        if any(q < 0 for q in self.demands):
-            raise BdmtspError("demands must be nonnegative")
+        if not all(0 <= q < math.inf for q in self.demands):
+            raise BdmtspError("demands must be finite and nonnegative")
         if not self.capacity > 0:
             raise BdmtspError("vehicle capacity must be positive")
         if not 0 <= self.depot < len(coords):
@@ -254,14 +265,19 @@ def parse_cvrplib(text: str) -> RawCvrpInstance:
         raise ParseError("missing DEMAND_SECTION")
     if len(demand_lines) != n:
         raise ParseError(f"expected {n} demand rows, found {len(demand_lines)}")
-    demands = [0.0] * n
+    demands: list[float | None] = [None] * n
     for line in demand_lines:
         parts = line.split()
         try:
-            idx = int(parts[0]) - 1
-            demands[idx] = float(parts[1])
+            node = int(parts[0])
+            demand = float(parts[1])
         except (IndexError, ValueError):
             raise ParseError(f"bad demand row: {line!r}") from None
+        if not 1 <= node <= n:
+            raise ParseError(f"demand id {node} outside 1..{n}")
+        if demands[node - 1] is not None:
+            raise ParseError(f"duplicate demand id {node}")
+        demands[node - 1] = demand
     depot = 0
     depot_lines = _section(sections, "DEPOT_SECTION")
     if depot_lines:
@@ -449,6 +465,12 @@ def load_taxi_csv(
     )
 
 
+# Rows of the trip matrix computed per numpy call: enough to amortise the
+# call overhead, few enough that the block temporaries (a handful of
+# 8 x j arrays) stay small next to the (j+1)^2 result.
+_ROW_BLOCK = 8
+
+
 def trips_to_instance(
     trips: Sequence[TripRecord], depot: GeoPoint
 ) -> tuple[RoutingInstance, float]:
@@ -458,7 +480,8 @@ def trips_to_instance(
     reaching its pickup, so entry (j, k) is the great-circle distance
     from trip j's dropoff to trip k's pickup, and column 0 returns to
     the depot.  The recorded on-trip distances are summed separately:
-    they are driven no matter how trips are scheduled.
+    they are driven no matter how trips are scheduled.  Every entry is
+    bit-identical to the scalar ``haversine``.
     """
     if not trips:
         raise BdmtspError("need at least one trip")
@@ -467,10 +490,42 @@ def trips_to_instance(
     for k, trip in enumerate(trips, start=1):
         dist[0, k] = haversine(depot, trip.pickup)
         dist[k, 0] = haversine(trip.dropoff, depot)
-    for a, ta in enumerate(trips, start=1):
-        for b, tb in enumerate(trips, start=1):
-            if a != b:
-                dist[a, b] = haversine(ta.dropoff, tb.pickup)
+    drop_lat = np.array([t.dropoff.lat for t in trips], dtype=float)
+    drop_lon = np.array([t.dropoff.lon for t in trips], dtype=float)
+    pick_lat = np.array([t.pickup.lat for t in trips], dtype=float)
+    pick_lon = np.array([t.pickup.lon for t in trips], dtype=float)
+    drop_cos = np.cos(np.radians(drop_lat))
+    pick_cos = np.cos(np.radians(pick_lat))
+    for lo in range(0, j, _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        dist[1 + lo : 1 + lo + _ROW_BLOCK, 1:] = _haversine_block(
+            drop_lat[rows], drop_lon[rows], drop_cos[rows], pick_lat, pick_lon, pick_cos
+        )
+    np.fill_diagonal(dist, 0.0)
     internal = float(sum(t.recorded_km for t in trips))
     instance = RoutingInstance(name="taxi", metric=HAVERSINE, dist=dist)
     return instance, internal
+
+
+def _haversine_block(lat_a, lon_a, cos_a, lat_b, lon_b, cos_b) -> np.ndarray:
+    """``haversine(a, b)`` for every row point a and column point b.
+
+    Follows the scalar operation order exactly.  numpy's radians, sin,
+    cos, sqrt and products round like libm; its squares (``x * x``) and
+    arctan2 do not always match C ``pow(x, 2)`` and ``atan2``, so those
+    two steps run per element through the math library.  Iterating a
+    memoryview hands them Python floats without building a list.
+    """
+    shape = (len(lat_a), len(lat_b))
+    size = shape[0] * shape[1]
+
+    def squared_half_sin(delta_deg):
+        half_sin = np.sin(np.radians(delta_deg) / 2.0).ravel()
+        squares = map(pow, memoryview(half_sin), repeat(2.0))
+        return np.fromiter(squares, float, size).reshape(shape)
+
+    sq_lat = squared_half_sin(lat_b - lat_a[:, None])
+    sq_lon = squared_half_sin(lon_b - lon_a[:, None])
+    alpha = sq_lat + cos_a[:, None] * cos_b * sq_lon
+    arc = map(math.atan2, memoryview(np.sqrt(alpha).ravel()), memoryview(np.sqrt(1.0 - alpha).ravel()))
+    return 2.0 * EARTH_RADIUS_KM * np.fromiter(arc, float, size).reshape(shape)

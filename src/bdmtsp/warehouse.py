@@ -61,33 +61,52 @@ class WarehouseNetwork:
             if not (w > 0) or not math.isfinite(w):
                 raise BdmtspError("edge lengths must be positive and finite")
         # connectivity (single component) is part of the contract
-        seen = {ids[0]}
-        frontier = [ids[0]]
+        adjacency = self.ranked_adjacency
+        start = self.rank[ids[0]]
+        seen = [False] * len(adjacency)
+        seen[start] = True
+        frontier = [start]
         while frontier:
-            cur = frontier.pop()
-            for nbr, _ in self.adjacency.get(cur, ()):
-                if nbr not in seen:
-                    seen.add(nbr)
+            for nbr, _ in adjacency[frontier.pop()]:
+                if not seen[nbr]:
+                    seen[nbr] = True
                     frontier.append(nbr)
-        if seen != known:
-            missing = sorted(known - seen)[:5]
+        if not all(seen):
+            missing = [nid for nid, hit in zip(self.ranked_ids, seen) if not hit][:5]
             raise BdmtspError(f"network is disconnected (e.g. {missing})")
-
-    @cached_property
-    def adjacency(self) -> dict[str, tuple[tuple[str, float], ...]]:
-        adj: dict[str, list[tuple[str, float]]] = {nid: [] for nid, _, _ in self.nodes}
-        for a, b, w in self.edges:
-            adj[a].append((b, w))
-            adj[b].append((a, w))
-        return {k: tuple(v) for k, v in adj.items()}
-
-    @cached_property
-    def positions(self) -> dict[str, tuple[float, float]]:
-        return {nid: (x, y) for nid, x, y in self.nodes}
 
     @property
     def node_ids(self) -> tuple[str, ...]:
         return tuple(nid for nid, _, _ in self.nodes)
+
+    @cached_property
+    def ranked_ids(self) -> tuple[str, ...]:
+        """Node ids in sorted order; a node's rank is its index here.
+
+        Comparing ranks orders nodes exactly as comparing ids does, so a
+        Dijkstra heap keyed on ranks breaks distance ties the same way.
+        """
+        return tuple(sorted(self.node_ids))
+
+    @cached_property
+    def rank(self) -> dict[str, int]:
+        return {nid: r for r, nid in enumerate(self.ranked_ids)}
+
+    @cached_property
+    def ranked_adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """Per rank, the (neighbour rank, length) pairs in edge order."""
+        adj: list[list[tuple[int, float]]] = [[] for _ in self.ranked_ids]
+        rank = self.rank
+        for a, b, w in self.edges:
+            adj[rank[a]].append((rank[b], w))
+            adj[rank[b]].append((rank[a], w))
+        return tuple(tuple(v) for v in adj)
+
+    def rank_of(self, node: str) -> int:
+        try:
+            return self.rank[node]
+        except KeyError:
+            raise BdmtspError(f"unknown node {node!r}") from None
 
 
 @dataclass(frozen=True)
@@ -106,21 +125,28 @@ class TransferJob:
             raise BdmtspError(f"job {self.id}: internal length must be positive")
 
 
-def _dijkstra(net: WarehouseNetwork, source: str) -> tuple[dict[str, float], dict[str, str]]:
-    if source not in net.positions:
-        raise BdmtspError(f"unknown node {source!r}")
-    dist = {source: 0.0}
-    prev: dict[str, str] = {}
+def _dijkstra(
+    net: WarehouseNetwork, source: int, target: int | None = None
+) -> tuple[list[float], list[int]]:
+    """Shortest-path labels and predecessors from rank ``source``.
+
+    Stops once ``target`` is popped: popped labels are final, so its
+    distance and predecessor chain already equal the full tree's.
+    """
+    adjacency = net.ranked_adjacency
+    dist = [math.inf] * len(adjacency)
+    prev = [-1] * len(adjacency)
+    dist[source] = 0.0
     heap = [(0.0, source)]
-    done: set[str] = set()
     while heap:
         d, cur = heapq.heappop(heap)
-        if cur in done:
-            continue
-        done.add(cur)
-        for nbr, w in net.adjacency[cur]:
+        if d > dist[cur]:
+            continue  # stale entry: cur was popped with a shorter label
+        if cur == target:
+            break
+        for nbr, w in adjacency[cur]:
             nd = d + w
-            if nd < dist.get(nbr, math.inf):
+            if nd < dist[nbr]:
                 dist[nbr] = nd
                 prev[nbr] = cur
                 heapq.heappush(heap, (nd, nbr))
@@ -129,27 +155,20 @@ def _dijkstra(net: WarehouseNetwork, source: str) -> tuple[dict[str, float], dic
 
 def shortest_path(net: WarehouseNetwork, a: str, b: str) -> float:
     """Length of a shortest a-b path in meters."""
-    if b not in net.positions:
-        raise BdmtspError(f"unknown node {b!r}")
-    dist, _ = _dijkstra(net, a)
-    try:
-        return dist[b]
-    except KeyError:
-        raise BdmtspError(f"nodes {a!r} and {b!r} are disconnected") from None
+    target = net.rank_of(b)
+    dist, _ = _dijkstra(net, net.rank_of(a), target)
+    return dist[target]
 
 
 def shortest_path_route(net: WarehouseNetwork, a: str, b: str) -> tuple[tuple[str, ...], float]:
     """One shortest a-b path as a node walk plus its length."""
-    if b not in net.positions:
-        raise BdmtspError(f"unknown node {b!r}")
-    dist, prev = _dijkstra(net, a)
-    if b not in dist:
-        raise BdmtspError(f"nodes {a!r} and {b!r} are disconnected")
-    walk = [b]
-    while walk[-1] != a:
+    source, target = net.rank_of(a), net.rank_of(b)
+    dist, prev = _dijkstra(net, source, target)
+    walk = [target]
+    while walk[-1] != source:
         walk.append(prev[walk[-1]])
-    walk.reverse()
-    return tuple(walk), dist[b]
+    ids = net.ranked_ids
+    return tuple(ids[r] for r in reversed(walk)), dist[target]
 
 
 def transfer_jobs(
@@ -175,30 +194,22 @@ def jobs_to_instance(
     """
     if not jobs:
         raise BdmtspError("need at least one transfer job")
-    if depot not in net.positions:
-        raise BdmtspError(f"unknown node {depot!r}")
-    count = len(jobs) + 1
-    mat = np.zeros((count, count))
-
-    dist_depot, _ = _dijkstra(net, depot)
-    for k, job in enumerate(jobs, start=1):
-        try:
-            mat[0, k] = dist_depot[job.source]
-        except KeyError:
-            raise BdmtspError(f"job {job.id} source unreachable from depot") from None
-
-    for j, job in enumerate(jobs, start=1):
-        dist_dest, _ = _dijkstra(net, job.dest)
-        mat[j, 0] = dist_dest[depot]
-        internal_check = dist_dest.get(job.source)
-        if internal_check is None or abs(internal_check - job.internal_len) > 1e-9:
+    # row j leaves where job j ends, column k arrives where job k starts;
+    # row and column 0 are the depot
+    ends = [net.rank_of(depot)] + [net.rank_of(job.source) for job in jobs]
+    starts = [ends[0]] + [net.rank_of(job.dest) for job in jobs]
+    mat = np.zeros((len(ends), len(ends)))
+    for j, start in enumerate(starts):
+        dist, _ = _dijkstra(net, start)
+        if j and abs(dist[ends[j]] - jobs[j - 1].internal_len) > 1e-9:
+            job = jobs[j - 1]
             raise BdmtspError(
                 f"job {job.id}: internal length {job.internal_len} does not match "
                 f"the network shortest path"
             )
-        for k, other in enumerate(jobs, start=1):
-            if k != j:
-                mat[j, k] = dist_dest[other.source]
+        row = [dist[end] for end in ends]
+        row[j] = 0.0
+        mat[j] = row
 
     instance = RoutingInstance(name=f"warehouse-{len(jobs)}jobs", metric=EXPLICIT, dist=mat)
     internal_total = float(sum(job.internal_len for job in jobs))

@@ -2,11 +2,14 @@
 
 Everything here is written from scratch with plain Python loops and a
 different algorithmic route than the package, so an implementation bug
-cannot hide behind a shared helper.
+cannot hide behind a shared helper.  The one exception is
+``dijkstra_by_id``: it keeps the string-keyed Dijkstra the warehouse
+module once used, as the exact oracle for its tie-breaking.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
 
@@ -136,3 +139,40 @@ def nearest_neighbour_walk(dist, start, targets):
         pos = best
         todo.remove(best)
     return total
+
+
+def dijkstra_by_id(node_ids, edges, source):
+    """Full shortest-path tree from ``source`` with string node keys.
+
+    The heap holds (distance, node id) pairs, so distance ties pop in id
+    order; neighbours are relaxed in edge order and a label changes only
+    on a strictly shorter distance.  Returns (dist, prev) dictionaries.
+    """
+    adjacency = {nid: [] for nid in node_ids}
+    for a, b, w in edges:
+        adjacency[a].append((b, w))
+        adjacency[b].append((a, w))
+    dist = {source: 0.0}
+    prev = {}
+    heap = [(0.0, source)]
+    done = set()
+    while heap:
+        d, cur = heapq.heappop(heap)
+        if cur in done:
+            continue
+        done.add(cur)
+        for nbr, w in adjacency[cur]:
+            nd = d + w
+            if nd < dist.get(nbr, math.inf):
+                dist[nbr] = nd
+                prev[nbr] = cur
+                heapq.heappush(heap, (nd, nbr))
+    return dist, prev
+
+
+def walk_from_tree(prev, source, target):
+    """The source-target node walk a predecessor map encodes."""
+    walk = [target]
+    while walk[-1] != source:
+        walk.append(prev[walk[-1]])
+    return tuple(reversed(walk))

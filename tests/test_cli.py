@@ -68,6 +68,24 @@ class TestSolve:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scope", ["relative:nan", "m-absolute:inf", "m-relative:nan"])
+    def test_non_finite_scope_exits_2(self, tiny_instance, scope, capsys):
+        rc = cli.main(["solve", str(tiny_instance), "--m", "2", "--scope", scope])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old,new", [("2 1.0 0.0", "2 nan 0.0"), ("3 2.0 0.0", "2 2.0 0.0")]
+    )
+    def test_bad_coordinates_exit_2(self, tmp_path, old, new, capsys):
+        # a nan coordinate once gave "total nan"; a repeated id solved silently
+        path = tmp_path / "bad.tsp"
+        path.write_text(TINY.replace(old, new))
+        rc = cli.main(["solve", str(path), "--m", "1", "--scope", "absolute:1",
+                       "--algorithm", "cvh"])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, capsys):
         rc = cli.main(["solve", "nope.tsp", "--m", "2", "--scope", "absolute:1"])
         assert rc == 2

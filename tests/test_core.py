@@ -77,6 +77,10 @@ def test_resolve_m_absolute(m, value, expected):
     assert resolve_scope(DynamicsScope.m_absolute(value), m=m, n=100) == expected
 
 
+def test_resolve_m_absolute_huge_value_clamps_without_overflow():
+    assert resolve_scope(DynamicsScope.m_absolute(1e308), m=7, n=51) == 50
+
+
 def test_resolve_m_absolute_accepts_fractions():
     scope = DynamicsScope.m_absolute(Fraction(3, 2))
     assert resolve_scope(scope, m=3, n=100) == 5
@@ -128,6 +132,10 @@ def test_resolve_variable_is_rejected():
         ("variable", ()),
         ("variable", (3, 0)),
         ("bogus", 1),
+        ("m_absolute", math.inf),
+        ("m_absolute", math.nan),
+        ("relative", math.nan),
+        ("m_relative", math.nan),
     ],
 )
 def test_scope_validation_rejects(kind, value):
@@ -234,6 +242,8 @@ def test_instance_consistent_pair_accepted():
             coords=np.array([[0.0, 0.0], [3.0, 4.0]]),
             dist=np.array([[0.0, 6.0], [6.0, 0.0]]),
         ),
+        dict(coords=np.array([[0.0, 0.0], [np.nan, 1.0]])),
+        dict(coords=np.array([[0.0, 0.0], [1.0, -np.inf]])),
     ],
 )
 def test_instance_validation_rejects(kwargs):

@@ -5,6 +5,8 @@ from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdmtsp.core import EUCLID2D, EXPLICIT, HAVERSINE, BdmtspError, Fleet, ParseError
 from bdmtsp.geometry import GeoPoint, TripRecord, euclid, haversine
@@ -151,6 +153,14 @@ class TestParseTsplib:
             parse_tsplib(FULL3.replace("EDGE_WEIGHT_FORMAT : FULL_MATRIX",
                                        "EDGE_WEIGHT_FORMAT : FUNCTION"))
 
+    @pytest.mark.parametrize(
+        "row", ["2 nan 4.0", "2 3.0 inf", "1 3.0 4.0", "0 3.0 4.0", "4 3.0 4.0", "2.0 3.0 4.0"]
+    )
+    def test_bad_coordinate_row_rejected(self, row):
+        # non-finite values, a duplicate id, ids outside 1..n, a non-integer id
+        with pytest.raises(ParseError):
+            parse_tsplib(EUC3.replace("2 3.0 4.0", row))
+
     def test_invalid_matrix_rejected(self):
         with pytest.raises(ParseError):
             parse_tsplib(FULL3.replace("0.0 1.5 2.0", "0.1 1.5 2.0"))  # diag
@@ -171,6 +181,12 @@ class TestParseCvrplib:
         with pytest.raises(ParseError):
             parse_cvrplib(CVRP5.replace("CAPACITY : 21\n", ""))
 
+    @pytest.mark.parametrize("row", ["0 25", "6 25", "1 25", "2 nan", "2 inf"])
+    def test_bad_demand_row_rejected(self, row):
+        # ids outside 1..n, a duplicate id, non-finite demand
+        with pytest.raises(ParseError):
+            parse_cvrplib(CVRP5.replace("2 25\n", row + "\n"))
+
     def test_validation(self):
         coords = np.array([[0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(BdmtspError):
@@ -179,6 +195,8 @@ class TestParseCvrplib:
             RawCvrpInstance("x", coords, (0.0, 1.0), 0.0)
         with pytest.raises(BdmtspError):
             RawCvrpInstance("x", coords, (0.0, 1.0), 10.0, depot=2)
+        with pytest.raises(BdmtspError):
+            RawCvrpInstance("x", np.array([[0.0, 0.0], [np.nan, 0.0]]), (0.0, 1.0), 10.0)
 
 
 class TestCvrpToBdmtsp:
@@ -355,6 +373,24 @@ def _trip(plat, plon, dlat, dlon, km=1.0):
     )
 
 
+# Antipodal pairs are left out: near them the scalar formula's alpha can
+# round above 1, where math.sqrt(1 - alpha) has no value.
+_coord = st.floats(-80.0, 80.0)
+_point = st.builds(GeoPoint, lat=_coord, lon=_coord)
+
+
+@st.composite
+def _trip_logs(draw):
+    """A depot plus 1-20 trips (more than one row block); some trips start
+    where the previous one ended."""
+    depot = draw(_point)
+    trips = []
+    for _ in range(draw(st.integers(1, 20))):
+        pickup = trips[-1].dropoff if trips and draw(st.booleans()) else draw(_point)
+        trips.append(TripRecord(pickup=pickup, dropoff=draw(_point), recorded_km=1.0))
+    return depot, trips
+
+
 class TestTripsToInstance:
     DEPOT = GeoPoint(19.3702, -99.1799)
 
@@ -376,18 +412,42 @@ class TestTripsToInstance:
         assert inst.metric == HAVERSINE
         assert internal == pytest.approx(12.5)
         for k, trip in enumerate(trips, start=1):
-            assert inst.distance(0, k) == pytest.approx(
-                haversine(self.DEPOT, trip.pickup)
-            )
-            assert inst.distance(k, 0) == pytest.approx(
-                haversine(trip.dropoff, self.DEPOT)
-            )
+            assert inst.distance(0, k) == haversine(self.DEPOT, trip.pickup)
+            assert inst.distance(k, 0) == haversine(trip.dropoff, self.DEPOT)
         for a, ta in enumerate(trips, start=1):
             for b, tb in enumerate(trips, start=1):
                 if a != b:
-                    assert inst.distance(a, b) == pytest.approx(
-                        haversine(ta.dropoff, tb.pickup)
-                    )
+                    assert inst.distance(a, b) == haversine(ta.dropoff, tb.pickup)
+
+    def test_dense_city_log_equals_scalar_haversine(self):
+        # about 32k entries: enough that a kernel squaring with x * x
+        # instead of C pow(x, 2) (about 1 entry in 1000-3000 differs) fails
+        rng = np.random.default_rng(7)
+        lat = rng.uniform(19.3, 19.5, (180, 2)).tolist()
+        lon = rng.uniform(-99.25, -99.05, (180, 2)).tolist()
+        trips = [_trip(la[0], lo[0], la[1], lo[1]) for la, lo in zip(lat, lon)]
+        inst, _ = trips_to_instance(trips, self.DEPOT)
+        starts = [self.DEPOT] + [t.dropoff for t in trips]
+        ends = [self.DEPOT] + [t.pickup for t in trips]
+        expect = [
+            [0.0 if a == b else haversine(p, q) for b, q in enumerate(ends)]
+            for a, p in enumerate(starts)
+        ]
+        assert np.array_equal(inst.dist, np.array(expect))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_trip_logs())
+    def test_every_entry_equals_scalar_haversine(self, log):
+        depot, trips = log
+        inst, _ = trips_to_instance(trips, depot)
+        starts = [depot] + [t.dropoff for t in trips]
+        ends = [depot] + [t.pickup for t in trips]
+        for a, p in enumerate(starts):
+            for b, q in enumerate(ends):
+                assert inst.dist[a, b] == (0.0 if a == b else haversine(p, q))
+        for k in range(1, len(trips)):
+            if trips[k].pickup == trips[k - 1].dropoff:
+                assert inst.dist[k, k + 1] == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(BdmtspError):

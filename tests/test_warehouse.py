@@ -283,3 +283,49 @@ def test_parse_jobs_csv():
         parse_jobs_csv("id,src\n1,a\n", PATH_NET)
     with pytest.raises(ParseError):
         parse_jobs_csv("id,source,dest\n", PATH_NET)
+
+
+# Equal spacings make many equal-length paths, so these layouts exercise
+# the heap's tie-breaking; the shelf stubs add dead ends and more ties.
+TIE_LAYOUTS = [
+    grid_network(4, 6, AisleSpec(dx=1.0, dy=1.0)),
+    grid_network(5, 5, AisleSpec(dx=2.0, dy=2.0, shelf_len=1.0)),
+    grid_network(3, 7, AisleSpec(dx=2.0, dy=3.0, shelf_len=1.5)),
+]
+
+
+@pytest.mark.parametrize("net", TIE_LAYOUTS)
+def test_shortest_paths_equal_string_keyed_oracle(net):
+    ids = net.node_ids
+    for a in ids[::3]:
+        dist, prev = reference.dijkstra_by_id(ids, net.edges, a)
+        for b in ids:
+            assert shortest_path(net, a, b) == dist[b]
+            walk, length = shortest_path_route(net, a, b)
+            assert walk == reference.walk_from_tree(prev, a, b)
+            assert length == dist[b]
+
+
+@pytest.mark.parametrize("net", TIE_LAYOUTS)
+def test_jobs_to_instance_equals_string_keyed_oracle(net):
+    rng = np.random.default_rng(41)
+    ids = net.node_ids
+    triples = []
+    for k in range(12):
+        a, b = rng.choice(len(ids), size=2, replace=False)
+        triples.append((f"j{k}", ids[int(a)], ids[int(b)]))
+    jobs = transfer_jobs(net, triples)
+    depot = ids[int(rng.integers(len(ids)))]
+    inst, _ = jobs_to_instance(net, jobs, depot)
+
+    def tree(node):
+        return reference.dijkstra_by_id(ids, net.edges, node)[0]
+
+    starts = [depot] + [job.dest for job in jobs]
+    ends = [depot] + [job.source for job in jobs]
+    expect = np.array(
+        [[0.0 if j == k else tree(s)[e] for k, e in enumerate(ends)] for j, s in enumerate(starts)]
+    )
+    assert np.array_equal(inst.dist, expect)
+    for job in jobs:
+        assert job.internal_len == tree(job.source)[job.dest]
