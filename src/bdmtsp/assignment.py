@@ -10,19 +10,14 @@ matrix the lowest-indexed minimal row wins; callers rely on that.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BdmtspError, InfeasibleError
+from .core import BdmtspError
 
-__all__ = ["BLOCKED", "Assignment", "solve_assignment", "brute_force_assignment"]
-
-# Marker for forbidden pairings in input matrices.  Internally it is
-# replaced by a finite sentinel so the dual arithmetic never sees inf.
-BLOCKED = math.inf
+__all__ = ["Assignment", "solve_assignment"]
 
 
 @dataclass(frozen=True)
@@ -33,19 +28,13 @@ class Assignment:
     cost: float
 
 
-def _prepare(cost) -> tuple[np.ndarray, np.ndarray]:
+def _prepare(cost) -> np.ndarray:
     c = np.asarray(cost, dtype=float)
     if c.ndim != 2 or c.size == 0:
         raise BdmtspError("cost matrix must be 2D and nonempty")
-    if np.any(np.isnan(c)) or np.any(np.isneginf(c)):
-        raise BdmtspError("cost entries must be finite or +inf (blocked)")
-    blocked = np.isinf(c)
-    if blocked.any():
-        finite = c[~blocked]
-        scale = float(np.abs(finite).max()) + 1.0 if finite.size else 1.0
-        sentinel = (min(c.shape) + 1) * scale
-        c = np.where(blocked, sentinel, c)
-    return c, blocked
+    if not np.isfinite(c).all():
+        raise BdmtspError("cost entries must be finite")
+    return c
 
 
 def _augmenting_paths(c: np.ndarray) -> np.ndarray:
@@ -104,12 +93,8 @@ def _augmenting_paths(c: np.ndarray) -> np.ndarray:
 
 
 def solve_assignment(cost) -> Assignment:
-    """Minimum-cost matching of cardinality min(rows, cols).
-
-    ``+inf`` entries mark forbidden pairings; if every complete matching
-    would use one, the instance is infeasible.
-    """
-    c, blocked_mask = _prepare(cost)
+    """Minimum-cost matching of cardinality min(rows, cols)."""
+    c = _prepare(cost)
     nr, nc = c.shape
     if nr <= nc:
         col4row = _augmenting_paths(c)
@@ -117,43 +102,6 @@ def solve_assignment(cost) -> Assignment:
     else:
         col4row = _augmenting_paths(c.T)
         pairs = tuple(sorted((int(col4row[r]), r) for r in range(nc)))
-    if any(blocked_mask[r, col] for r, col in pairs):
-        raise InfeasibleError("no complete matching avoids blocked entries")
     # fsum: exactly rounded, so equal matchings report bit-equal costs.
     total = math.fsum(c[r, col] for r, col in pairs)
     return Assignment(pairs=pairs, cost=total)
-
-
-def brute_force_assignment(cost) -> Assignment:
-    """Exhaustive reference solver for small matrices (min side <= 8).
-
-    Enumerates all maximal matchings; ties keep the first hit in
-    lexicographic enumeration order, so only the cost is contractual.
-    """
-    c = np.asarray(cost, dtype=float)
-    if c.ndim != 2 or c.size == 0:
-        raise BdmtspError("cost matrix must be 2D and nonempty")
-    nr, nc = c.shape
-    if min(nr, nc) > 8:
-        raise BdmtspError("brute force limited to min(rows, cols) <= 8")
-    best_pairs = None
-    best_cost = math.inf
-    if nr <= nc:
-        for cols in itertools.permutations(range(nc), nr):
-            total = sum(c[r, j] for r, j in enumerate(cols))
-            if total < best_cost:
-                best_cost = total
-                best_pairs = tuple((r, j) for r, j in enumerate(cols))
-    else:
-        for rows in itertools.permutations(range(nr), nc):
-            total = sum(c[r, j] for j, r in enumerate(rows))
-            if total < best_cost:
-                best_cost = total
-                best_pairs = tuple(sorted((r, j) for j, r in enumerate(rows)))
-    if best_pairs is None or math.isinf(best_cost):
-        raise InfeasibleError("no complete matching avoids blocked entries")
-    # Recompute with fsum so the reported cost does not depend on the
-    # enumeration order the winning matching happened to be summed in.
-    return Assignment(
-        pairs=best_pairs, cost=math.fsum(c[r, j] for r, j in best_pairs)
-    )

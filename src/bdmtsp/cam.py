@@ -412,12 +412,23 @@ def sweep_from_csv(text: str) -> SweepResult:
         raise BdmtspError("sweep CSV must start with header m,n,d,mean_len,reps,seed")
     configs = []
     values = []
-    reps = seed = None
+    runs = set()
     for ln in lines[1:]:
-        m, n, d, val, r, s = ln.split(",")
-        configs.append(Configuration(m=int(m), n=int(n), d=int(d)))
-        values.append(float(val))
-        reps, seed = int(r), int(s)
+        fields = ln.split(",")
+        if len(fields) != 6:
+            raise BdmtspError(f"sweep CSV row needs 6 fields: {ln!r}")
+        m, n, d, value, reps, seed = fields
+        try:
+            m, n, d, reps, seed = int(m), int(n), int(d), int(reps), int(seed)
+            value = float(value)
+        except ValueError:
+            raise BdmtspError(f"bad sweep CSV row: {ln!r}") from None
+        configs.append(Configuration(m=m, n=n, d=d))
+        values.append(value)
+        runs.add((reps, seed))
     if not configs:
         raise BdmtspError("sweep CSV contains no rows")
+    if len(runs) > 1:
+        raise BdmtspError("sweep CSV rows disagree on reps/seed")
+    reps, seed = runs.pop()
     return SweepResult(configs=tuple(configs), y=tuple(values), reps=reps, seed=seed)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cam, geometry, io as bio, warehouse as wh
-from .core import BdmtspError, DynamicsScope, Fleet, build_schedule
+from .core import BdmtspError, Fleet, build_schedule
 from .harness import (
     ExperimentSpec,
     TABLE_IDS,
@@ -19,9 +19,7 @@ from .harness import (
     reproduce_table,
     run_sweep,
 )
-from .solvers import bd_avh, bd_cvh
-
-_ALGORITHMS = {"avh": bd_avh, "cvh": bd_cvh}
+from .solvers import ALGORITHMS
 
 
 def _routes_payload(instance, routes):
@@ -50,14 +48,17 @@ def _print_routes(instance, routes, out_path: str | None) -> None:
         print(f"wrote {out_path}")
 
 
+def _route(args, instance, capacity, closed: bool):
+    """Solve ``instance`` with the fleet, scope and algorithm in ``args``."""
+    scope = parse_scope(args.scope)
+    fleet = Fleet(m=args.m, capacity=capacity)
+    schedule = build_schedule(scope, instance, args.m)
+    return ALGORITHMS[args.algorithm](instance, fleet, schedule, closed=closed)
+
+
 def _cmd_solve(args) -> int:
     instance = bio.parse_tsplib(Path(args.instance).read_text())
-    scope = parse_scope(args.scope)
-    fleet = Fleet(m=args.m, capacity=args.capacity)
-    schedule = build_schedule(scope, instance, args.m)
-    routes = _ALGORITHMS[args.algorithm](
-        instance, fleet, schedule, closed=args.closed
-    )
+    routes = _route(args, instance, args.capacity, args.closed)
     _print_routes(instance, routes, args.out)
     return 0
 
@@ -105,12 +106,12 @@ def _cmd_cam_fit(args) -> int:
     X = cam.feature_matrix(result.configs, fmap)
     y = np.asarray(result.y)
     steps = cam.backward_select(X, y)
-    print(f"{'features':>8} {'rmse':>9} {'mape':>8} {'bic':>10}")
+    print(f"{'features':>8} {'rmse':>9} {'mape':>8} {'cp':>9} {'bic':>10}")
     for step in steps:
         stats = step.stats
         print(
             f"{len(step.feature_idx):>8} {stats['rmse_std']:>9.3f} "
-            f"{stats['mape']:>8.2%} {stats['bic']:>10.1f}"
+            f"{stats['mape']:>8.2%} {stats['cp']:>9.2f} {stats['bic']:>10.1f}"
         )
     keep = args.keep
     if keep is not None:
@@ -138,10 +139,7 @@ def _cmd_warehouse(args) -> int:
     net = wh.parse_layout(Path(args.layout).read_text())
     jobs = wh.parse_jobs_csv(Path(args.jobs).read_text(), net)
     instance, internal = wh.jobs_to_instance(net, jobs, args.depot)
-    scope = parse_scope(args.scope)
-    fleet = Fleet(m=args.m, capacity=args.capacity)
-    schedule = build_schedule(scope, instance, args.m)
-    routes = _ALGORITHMS[args.algorithm](instance, fleet, schedule, closed=True)
+    routes = _route(args, instance, args.capacity, closed=True)
     print(f"jobs {len(jobs)}, job-level total {routes.total:.3f}, "
           f"internal {internal:.3f}")
     grand = 0.0
@@ -172,10 +170,7 @@ def _cmd_taxi(args) -> int:
         print(f"detour factor {factor:.4f}; repaired {len(outliers)} outliers")
     depot = geometry.GeoPoint(args.depot_lat, args.depot_lon)
     instance, internal = bio.trips_to_instance(trips, depot)
-    scope = parse_scope(args.scope)
-    fleet = Fleet(m=args.m)
-    schedule = build_schedule(scope, instance, args.m)
-    routes = _ALGORITHMS[args.algorithm](instance, fleet, schedule, closed=args.closed)
+    routes = _route(args, instance, None, args.closed)
     print(f"trips {len(trips)}, m={args.m}: connecting distance {routes.total:.1f} km, "
           f"internal trip distance {internal:.1f} km")
     for i, (route, length) in enumerate(zip(routes.routes, routes.lengths)):
@@ -207,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, help="fleet size")
     p.add_argument("--scope", required=True,
                    help="kind:value, e.g. absolute:5, relative:20%%, variable:3,4,1")
-    p.add_argument("--algorithm", choices=("avh", "cvh"), default="avh")
+    p.add_argument("--algorithm", choices=tuple(ALGORITHMS), default="avh")
     p.add_argument("--capacity", type=int, default=None,
                    help="per-vehicle stop budget (default: balanced)")
     p.add_argument("--closed", action="store_true", help="return to the depot")
@@ -217,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="uniform-instance sweep over (m, n, d)")
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--algorithm", choices=("avh", "cvh"), default="avh")
+    p.add_argument("--algorithm", choices=tuple(ALGORITHMS), default="avh")
     p.add_argument("--closed", action="store_true")
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--m-list", help="comma-separated fleet sizes (default 1..7)")
@@ -251,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depot", required=True, help="depot node id")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--scope", required=True)
-    p.add_argument("--algorithm", choices=("avh", "cvh"), default="avh")
+    p.add_argument("--algorithm", choices=tuple(ALGORITHMS), default="avh")
     p.add_argument("--capacity", type=int, default=None)
     p.add_argument("--storage-locations", type=int, default=None,
                    help="report occupancy against this slot count")
@@ -261,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--scope", required=True)
-    p.add_argument("--algorithm", choices=("avh", "cvh"), default="avh")
+    p.add_argument("--algorithm", choices=tuple(ALGORITHMS), default="avh")
     p.add_argument("--closed", action="store_true")
     p.add_argument("--depot-lat", type=float, default=19.3702)
     p.add_argument("--depot-lon", type=float, default=-99.1799)

@@ -11,7 +11,7 @@ target before solving.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -292,22 +292,25 @@ class RevealSchedule:
     ``visible_target`` lazily, so runs that need extra steps because of
     capacity blocking keep working for sequential scopes; a variable
     scope raises once its sequence is exhausted.
+
+    ``targets`` holds one visible-count target per step.  A sequential
+    scope sets ``repeat_last`` and holds a single target, which therefore
+    applies at every step.
     """
 
     ordering: tuple[int, ...]
     step_counts: tuple[int, ...]
-    kind: str  # "sequential" | "variable"
-    absolute: int | None = None
-    variable: tuple[int, ...] | None = None
+    targets: tuple[int, ...]
+    repeat_last: bool
 
     def visible_target(self, step: int) -> int:
-        if self.kind == "sequential":
-            return self.absolute
-        if step >= len(self.variable):
+        if self.repeat_last:
+            return self.targets[0]  # the only target; [0] indexes fastest
+        if step >= len(self.targets):
             raise ScheduleError(
                 "variable dynamics sequence exhausted before all customers served"
             )
-        return self.variable[step]
+        return self.targets[step]
 
 
 def build_schedule(
@@ -348,8 +351,8 @@ def build_schedule(
         return RevealSchedule(
             ordering=ordering,
             step_counts=tuple(counts),
-            kind="variable",
-            variable=tuple(targets),
+            targets=targets,
+            repeat_last=False,
         )
 
     d = resolve_scope(scope, m, n)
@@ -360,6 +363,6 @@ def build_schedule(
     return RevealSchedule(
         ordering=ordering,
         step_counts=tuple(counts),
-        kind="sequential",
-        absolute=d,
+        targets=(d,),
+        repeat_last=True,
     )

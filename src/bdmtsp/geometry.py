@@ -13,9 +13,7 @@ __all__ = [
     "EARTH_RADIUS_KM",
     "GeoPoint",
     "TripRecord",
-    "euclid",
     "haversine",
-    "simple_dist",
     "detour_factor",
     "repair_outliers",
 ]
@@ -51,45 +49,23 @@ class TripRecord:
             raise BdmtspError("recorded distance must be nonnegative")
 
 
-def euclid(p: Sequence[float], q: Sequence[float]) -> float:
-    """Planar Euclidean distance between two 2D points."""
-    return math.hypot(p[0] - q[0], p[1] - q[1])
-
-
 def haversine(a: GeoPoint, b: GeoPoint, radius: float = EARTH_RADIUS_KM) -> float:
     """Great-circle distance in km.
 
     Uses the arctan2 form, which stays accurate for nearby points where
-    the arccos variant loses digits.
+    the arccos variant loses digits.  Near antipodal points ``alpha`` can
+    round above 1, so it is capped there.
     """
     dlat = math.radians(b.lat - a.lat)
     dlon = math.radians(b.lon - a.lon)
-    alpha = (
+    alpha = min(
         math.sin(dlat / 2.0) ** 2
         + math.cos(math.radians(a.lat))
         * math.cos(math.radians(b.lat))
-        * math.sin(dlon / 2.0) ** 2
+        * math.sin(dlon / 2.0) ** 2,
+        1.0,
     )
     return 2.0 * radius * math.atan2(math.sqrt(alpha), math.sqrt(1.0 - alpha))
-
-
-def simple_dist(
-    a: GeoPoint, b: GeoPoint, norm: str = "l2", radius: float = EARTH_RADIUS_KM
-) -> float:
-    """Flat-earth approximation: degree offsets scaled by pi/180 * radius.
-
-    ``norm`` selects straight-line ("l2") or taxicab ("l1") measurement of
-    the offset vector.
-    """
-    dlat = b.lat - a.lat
-    dlon = b.lon - a.lon
-    if norm == "l2":
-        mag = math.hypot(dlat, dlon)
-    elif norm == "l1":
-        mag = abs(dlat) + abs(dlon)
-    else:
-        raise BdmtspError(f"unknown norm {norm!r}")
-    return math.pi / 180.0 * radius * mag
 
 
 def _trip_ratio(trip: TripRecord) -> tuple[float, float]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,10 @@ from .core import (
     build_schedule,
 )
 from .io import parse_tsplib
-from .solvers import bd_avh, bd_cvh, relative_difference
+# The registry object itself, not a copy: perfbench/layers.py rebinds its
+# entries (and this module's build_schedule, instance_for, parse_tsplib),
+# so run_sweep and reproduce_table must look all of them up at call time.
+from .solvers import ALGORITHMS as _ALGORITHMS, relative_difference
 
 __all__ = [
     "ExperimentSpec",
@@ -39,8 +42,6 @@ __all__ = [
     "reproduce_table",
     "TABLE_IDS",
 ]
-
-_ALGORITHMS = {"avh": bd_avh, "cvh": bd_cvh}
 
 
 def gen_uniform(n: int, seed) -> RoutingInstance:
@@ -91,36 +92,35 @@ class ExperimentSpec:
             raise BdmtspError("need at least one configuration")
 
 
-def _solve_uniform(
-    seed: int, ci: int, rep: int, config: Configuration, algorithm: str, closed: bool
-) -> float:
+def _solve_task(args) -> tuple[float, ...]:
+    """Totals of each named algorithm on one replayable sweep instance.
+
+    ``args`` is ``(seed, ci, rep, config, algorithms, closed)``; every
+    algorithm runs on the same instance and schedule.
+    """
+    seed, ci, rep, config, algorithms, closed = args
     instance = instance_for(seed, ci, rep, config.n)
     fleet = Fleet(m=config.m)
     schedule = build_schedule(DynamicsScope.absolute(config.d), instance, config.m)
-    routes = _ALGORITHMS[algorithm](instance, fleet, schedule, closed=closed)
-    return routes.total
+    return tuple(
+        _ALGORITHMS[name](instance, fleet, schedule, closed=closed).total
+        for name in algorithms
+    )
 
 
-def _sweep_task(args) -> float:
-    return _solve_uniform(*args)
-
-
-def _gap_task(args) -> float:
-    seed, ci, rep, config, closed = args
-    instance = instance_for(seed, ci, rep, config.n)
-    fleet = Fleet(m=config.m)
-    schedule = build_schedule(DynamicsScope.absolute(config.d), instance, config.m)
-    avh = bd_avh(instance, fleet, schedule, closed=closed)
-    cvh = bd_cvh(instance, fleet, schedule, closed=closed)
-    return relative_difference(avh.total, cvh.total)
-
-
-def _run_tasks(tasks, worker, workers: int | None):
+def _sweep_totals(spec: ExperimentSpec, algorithms: tuple[str, ...]) -> list:
+    """``_solve_task`` results for every (config, rep), in that order."""
+    tasks = [
+        (spec.seed, ci, rep, config, algorithms, spec.closed)
+        for ci, config in enumerate(spec.configs)
+        for rep in range(spec.reps)
+    ]
+    workers = spec.workers
     if workers is None or workers <= 1:
-        return [worker(t) for t in tasks]
+        return [_solve_task(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(tasks) // (workers * 8))
-        return list(pool.map(worker, tasks, chunksize=chunk))
+        return list(pool.map(_solve_task, tasks, chunksize=chunk))
 
 
 def run_sweep(spec: ExperimentSpec) -> SweepResult:
@@ -129,12 +129,7 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
     Task seeding depends only on (seed, config index, rep), never on
     scheduling, so the means are invariant to ``workers``.
     """
-    tasks = [
-        (spec.seed, ci, rep, config, spec.algorithm, spec.closed)
-        for ci, config in enumerate(spec.configs)
-        for rep in range(spec.reps)
-    ]
-    values = _run_tasks(tasks, _sweep_task, spec.workers)
+    values = [total for (total,) in _sweep_totals(spec, (spec.algorithm,))]
     means = []
     for ci in range(len(spec.configs)):
         chunk = values[ci * spec.reps : (ci + 1) * spec.reps]
@@ -150,12 +145,10 @@ def compare_sweep(spec: ExperimentSpec) -> float:
     Positive values mean the assignment policy produced shorter routes
     on the same instances.
     """
-    tasks = [
-        (spec.seed, ci, rep, config, spec.closed)
-        for ci, config in enumerate(spec.configs)
-        for rep in range(spec.reps)
+    deltas = [
+        relative_difference(avh, cvh)
+        for avh, cvh in _sweep_totals(spec, ("avh", "cvh"))
     ]
-    deltas = _run_tasks(tasks, _gap_task, spec.workers)
     return float(np.mean(deltas))
 
 
@@ -169,21 +162,21 @@ def parse_scope(text: str) -> DynamicsScope:
     kind = kind.strip().lower().replace("-", "_")
     if not sep:
         raise BdmtspError(f"scope needs kind:value, got {text!r}")
+    if kind not in ("absolute", "m_absolute", "relative", "m_relative", "variable"):
+        raise BdmtspError(f"unknown scope kind {kind!r}")
     try:
         if kind == "absolute":
-            return DynamicsScope.absolute(int(value))
-        if kind == "m_absolute":
-            return DynamicsScope.m_absolute(float(value))
-        if kind in ("relative", "m_relative"):
+            parsed = int(value)
+        elif kind == "m_absolute":
+            parsed = float(value)
+        elif kind == "variable":
+            parsed = tuple(int(t) for t in value.split(","))
+        else:
             v = value.strip()
-            share = float(v[:-1]) / 100.0 if v.endswith("%") else float(v)
-            ctor = DynamicsScope.relative if kind == "relative" else DynamicsScope.m_relative
-            return ctor(share)
-        if kind == "variable":
-            return DynamicsScope.variable(tuple(int(t) for t in value.split(",")))
+            parsed = float(v[:-1]) / 100.0 if v.endswith("%") else float(v)
     except ValueError:
         raise BdmtspError(f"bad scope value in {text!r}") from None
-    raise BdmtspError(f"unknown scope kind {kind!r}")
+    return DynamicsScope(kind, parsed)
 
 
 # ----------------------------------------------------- reproduction
@@ -311,14 +304,6 @@ class TableReport:
         return "\n".join(lines)
 
 
-def _scope_from(kind: str, value) -> DynamicsScope:
-    if kind == "relative":
-        return DynamicsScope.relative(value)
-    if kind == "m_absolute":
-        return DynamicsScope.m_absolute(value)
-    raise BdmtspError(f"unsupported table scope kind {kind!r}")
-
-
 def reproduce_table(table_id: str, data_dir) -> TableReport:
     """Recompute one published table from local instance files.
 
@@ -347,7 +332,7 @@ def reproduce_table(table_id: str, data_dir) -> TableReport:
         instance = parse_tsplib(path.read_text())
         fleet = Fleet(m=m)
         for idx, value in enumerate(values):
-            scope = _scope_from(kind, value)
+            scope = DynamicsScope(kind, value)
             schedule = build_schedule(scope, instance, m)
             for algorithm, pub_values in sorted(published.items()):
                 open_rs = _ALGORITHMS[algorithm](instance, fleet, schedule)

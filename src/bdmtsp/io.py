@@ -1,8 +1,7 @@
 """Instance parsers and dataset converters.
 
 Covers a practical subset of the TSPLIB text format (EUC_2D node
-coordinates and explicit edge-weight matrices), capacitated-VRP files
-and their reduction to balanced dynamic instances, and taxi-trip CSV
+coordinates and explicit edge-weight matrices) and taxi-trip CSV
 ingestion with the standard cleaning filters.
 """
 
@@ -11,10 +10,10 @@ from __future__ import annotations
 import csv
 import io as _stdio
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from itertools import repeat
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,21 +22,17 @@ from .core import (
     EXPLICIT,
     HAVERSINE,
     BdmtspError,
-    Fleet,
     ParseError,
     RoutingInstance,
 )
 from .geometry import EARTH_RADIUS_KM, GeoPoint, TripRecord, haversine
 
 __all__ = [
-    "RawCvrpInstance",
     "TaxiColumns",
     "TaxiFilters",
     "TaxiLoadResult",
     "parse_tsplib",
     "dump_tsplib",
-    "parse_cvrplib",
-    "cvrp_to_bdmtsp",
     "load_taxi_csv",
     "trips_to_instance",
 ]
@@ -214,131 +209,6 @@ def dump_tsplib(instance: RoutingInstance) -> str:
     return "\n".join(out) + "\n"
 
 
-# --------------------------------------------------------------- CVRP
-
-
-@dataclass(frozen=True)
-class RawCvrpInstance:
-    """Capacitated-VRP instance before reduction: demands still attached."""
-
-    name: str
-    coords: np.ndarray
-    demands: tuple[float, ...]
-    capacity: float
-    depot: int = 0
-
-    def __post_init__(self) -> None:
-        coords = np.asarray(self.coords, dtype=float)
-        coords.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
-        if coords.ndim != 2 or coords.shape[1] != 2 or len(coords) < 2:
-            raise BdmtspError("coords must be an (n, 2) array with n >= 2")
-        if not np.all(np.isfinite(coords)):
-            raise BdmtspError("coordinates must be finite")
-        if len(self.demands) != len(coords):
-            raise BdmtspError("demands must align with coords")
-        if not all(0 <= q < math.inf for q in self.demands):
-            raise BdmtspError("demands must be finite and nonnegative")
-        if not self.capacity > 0:
-            raise BdmtspError("vehicle capacity must be positive")
-        if not 0 <= self.depot < len(coords):
-            raise BdmtspError("depot index out of range")
-
-
-def parse_cvrplib(text: str) -> RawCvrpInstance:
-    """Parse a CVRPLIB file: coordinates, demands, capacity, depot."""
-    fields, sections = _split_header(text)
-    name = fields.get("NAME", "unnamed")
-    try:
-        n = int(fields["DIMENSION"])
-        capacity = float(fields["CAPACITY"])
-    except KeyError as exc:
-        raise ParseError(f"missing {exc.args[0]}") from None
-    except ValueError:
-        raise ParseError("bad DIMENSION or CAPACITY value") from None
-    coord_lines = _section(sections, "NODE_COORD_SECTION")
-    if coord_lines is None:
-        raise ParseError("missing NODE_COORD_SECTION")
-    coords = _parse_coords(coord_lines, n)
-    demand_lines = _section(sections, "DEMAND_SECTION")
-    if demand_lines is None:
-        raise ParseError("missing DEMAND_SECTION")
-    if len(demand_lines) != n:
-        raise ParseError(f"expected {n} demand rows, found {len(demand_lines)}")
-    demands: list[float | None] = [None] * n
-    for line in demand_lines:
-        parts = line.split()
-        try:
-            node = int(parts[0])
-            demand = float(parts[1])
-        except (IndexError, ValueError):
-            raise ParseError(f"bad demand row: {line!r}") from None
-        if not 1 <= node <= n:
-            raise ParseError(f"demand id {node} outside 1..{n}")
-        if demands[node - 1] is not None:
-            raise ParseError(f"duplicate demand id {node}")
-        demands[node - 1] = demand
-    depot = 0
-    depot_lines = _section(sections, "DEPOT_SECTION")
-    if depot_lines:
-        try:
-            first = int(depot_lines[0].split()[0])
-        except (IndexError, ValueError):
-            raise ParseError(f"bad depot row: {depot_lines[0]!r}") from None
-        if first != -1:
-            depot = first - 1
-    try:
-        return RawCvrpInstance(
-            name=name, coords=coords, demands=tuple(demands), capacity=capacity, depot=depot
-        )
-    except BdmtspError as exc:
-        raise ParseError(str(exc)) from None
-
-
-def cvrp_to_bdmtsp(
-    raw: RawCvrpInstance,
-    mode: str,
-    seed: int | None = None,
-    *,
-    m: int | None = None,
-    limit: int | None = None,
-) -> tuple[RoutingInstance, Fleet]:
-    """Reduce a CVRP instance to a balanced dynamic one.
-
-    ``xxl`` derives the fleet from total demand: m = floor(1.05 * sum(q)
-    / q*), per-vehicle stop budget ceil(customers / m); customer order
-    is kept as filed.  ``fisher`` takes the fleet size and stop limit
-    from the scenario and permutes the customer order with ``seed``
-    (None leaves it unchanged).  Demand becomes unitary in both modes.
-    """
-    customers = [i for i in range(len(raw.coords)) if i != raw.depot]
-    n_customers = len(customers)
-    if mode == "xxl":
-        total = float(sum(raw.demands[i] for i in customers))
-        fleet_m = int(math.floor(1.05 * total / raw.capacity))
-        if fleet_m < 1:
-            raise BdmtspError("demand too small: fleet size computes to zero")
-        cap = -((-n_customers) // fleet_m)
-    elif mode == "fisher":
-        if m is None or limit is None:
-            raise BdmtspError("fisher mode needs the scenario's m and limit")
-        if m < 1 or limit < 1:
-            raise BdmtspError("fleet size and stop limit must be positive")
-        fleet_m = m
-        cap = limit
-        if seed is not None:
-            rng = np.random.default_rng(seed)
-            customers = [customers[i] for i in rng.permutation(n_customers)]
-    else:
-        raise BdmtspError(f"unknown reduction mode {mode!r}")
-    order = [raw.depot] + customers
-    coords = np.asarray(raw.coords, dtype=float)[order]
-    instance = RoutingInstance(
-        name=f"{raw.name}-{mode}", metric=EUCLID2D, coords=coords
-    )
-    return instance, Fleet(m=fleet_m, capacity=cap)
-
-
 # --------------------------------------------------------------- taxi
 
 
@@ -391,22 +261,13 @@ class TaxiFilters:
 
 @dataclass(frozen=True)
 class TaxiLoadResult:
-    """Kept trips plus ingestion counts; iterates like a trip sequence."""
+    """Kept trips plus ingestion counts."""
 
     trips: tuple[TripRecord, ...]
     total_rows: int
     kept: int
     dropped: int
     malformed: int
-
-    def __iter__(self) -> Iterator[TripRecord]:
-        return iter(self.trips)
-
-    def __len__(self) -> int:
-        return len(self.trips)
-
-    def __getitem__(self, idx):
-        return self.trips[idx]
 
 
 def load_taxi_csv(
@@ -526,6 +387,6 @@ def _haversine_block(lat_a, lon_a, cos_a, lat_b, lon_b, cos_b) -> np.ndarray:
 
     sq_lat = squared_half_sin(lat_b - lat_a[:, None])
     sq_lon = squared_half_sin(lon_b - lon_a[:, None])
-    alpha = sq_lat + cos_a[:, None] * cos_b * sq_lon
+    alpha = np.minimum(sq_lat + cos_a[:, None] * cos_b * sq_lon, 1.0)
     arc = map(math.atan2, memoryview(np.sqrt(alpha).ravel()), memoryview(np.sqrt(1.0 - alpha).ravel()))
     return 2.0 * EARTH_RADIUS_KM * np.fromiter(arc, float, size).reshape(shape)

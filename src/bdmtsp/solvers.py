@@ -20,6 +20,7 @@ from .assignment import solve_assignment
 from .core import Fleet, InfeasibleError, RevealSchedule, RoutingInstance
 
 __all__ = [
+    "ALGORITHMS",
     "RouteSet",
     "StepTrace",
     "bd_cvh",
@@ -158,6 +159,9 @@ def bd_avh(
 ) -> RouteSet:
     """Dynamic assignment heuristic: optimal matching at every step."""
     return _dispatch(instance, fleet, schedule, _assignment_pairs, closed, on_step)
+
+
+ALGORITHMS = {"avh": bd_avh, "cvh": bd_cvh}
 
 
 def route_lengths(

@@ -10,7 +10,13 @@ module once used, as the exact oracle for its tie-breaking.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
+
+import numpy as np
+
+from bdmtsp.assignment import Assignment
+from bdmtsp.core import BdmtspError
 
 
 def law_of_cosines_km(lat1, lon1, lat2, lon2, radius=6378.4):
@@ -176,3 +182,36 @@ def walk_from_tree(prev, source, target):
     while walk[-1] != source:
         walk.append(prev[walk[-1]])
     return tuple(reversed(walk))
+
+
+def brute_force_assignment(cost) -> Assignment:
+    """Exhaustive minimum-cost matching for small matrices (min side <= 8).
+
+    Enumerates all maximal matchings; ties keep the first hit in
+    lexicographic enumeration order, so only the cost is contractual.
+    """
+    c = np.asarray(cost, dtype=float)
+    if c.ndim != 2 or c.size == 0:
+        raise BdmtspError("cost matrix must be 2D and nonempty")
+    nr, nc = c.shape
+    if min(nr, nc) > 8:
+        raise BdmtspError("brute force limited to min(rows, cols) <= 8")
+    best_pairs = None
+    best_cost = math.inf
+    if nr <= nc:
+        for cols in itertools.permutations(range(nc), nr):
+            total = sum(c[r, j] for r, j in enumerate(cols))
+            if total < best_cost:
+                best_cost = total
+                best_pairs = tuple((r, j) for r, j in enumerate(cols))
+    else:
+        for rows in itertools.permutations(range(nr), nc):
+            total = sum(c[r, j] for j, r in enumerate(rows))
+            if total < best_cost:
+                best_cost = total
+                best_pairs = tuple(sorted((r, j) for j, r in enumerate(rows)))
+    # Recompute with fsum so the reported cost does not depend on the
+    # enumeration order the winning matching happened to be summed in.
+    return Assignment(
+        pairs=best_pairs, cost=math.fsum(c[r, j] for r, j in best_pairs)
+    )

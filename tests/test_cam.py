@@ -353,6 +353,18 @@ class TestPersistence:
         with pytest.raises(BdmtspError):
             sweep_from_csv("m,n,d,mean_len,reps,seed\n")
 
+    @pytest.mark.parametrize("row", ["1,50", "1,50,5,2.5,10,0,7", "1,50,x,2.5,10,0"])
+    def test_sweep_csv_malformed_row_rejected(self, row):
+        text = "m,n,d,mean_len,reps,seed\n1,50,5,2.5,10,0\n" + row + "\n"
+        with pytest.raises(BdmtspError, match="sweep CSV row"):
+            sweep_from_csv(text)
+
+    @pytest.mark.parametrize("row", ["1,60,5,2.5,3,0", "1,60,5,2.5,10,1"])
+    def test_sweep_csv_rows_must_share_reps_and_seed(self, row):
+        text = "m,n,d,mean_len,reps,seed\n1,50,5,2.5,10,0\n" + row + "\n"
+        with pytest.raises(BdmtspError, match="reps/seed"):
+            sweep_from_csv(text)
+
     def test_sweep_alignment_enforced(self):
         with pytest.raises(BdmtspError):
             SweepResult(configs=sweep_configs()[:3], y=(1.0,), reps=1, seed=0)

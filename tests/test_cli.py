@@ -75,6 +75,15 @@ class TestSolve:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "scope,reason",
+        [("relative:nan", "finite"), ("relative:2", "(0, 1]"), ("variable:1,1", "exhausted")],
+    )
+    def test_scope_error_names_its_reason(self, tiny_instance, scope, reason, capsys):
+        rc = cli.main(["solve", str(tiny_instance), "--m", "2", "--scope", scope])
+        assert rc == 2
+        assert reason in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "old,new", [("2 1.0 0.0", "2 nan 0.0"), ("3 2.0 0.0", "2 2.0 0.0")]
     )
     def test_bad_coordinates_exit_2(self, tmp_path, old, new, capsys):
@@ -123,6 +132,14 @@ class TestSweep:
 
 
 class TestCamCommands:
+    @pytest.mark.parametrize("row", ["1,50", "1,60,5,2.5,3,0"])
+    def test_fit_rejects_bad_sweep_csv(self, tmp_path, row, capsys):
+        sweep_csv = tmp_path / "sweep.csv"
+        sweep_csv.write_text("m,n,d,mean_len,reps,seed\n1,50,5,2.5,10,0\n" + row + "\n")
+        rc = cli.main(["cam-fit", "--sweep", str(sweep_csv)])
+        assert rc == 2
+        assert "sweep CSV" in capsys.readouterr().err
+
     def test_fit_then_predict(self, tmp_path, capsys):
         # 80 desk-scale configurations so the 64-column fit is determined
         configs = tuple(
@@ -140,7 +157,7 @@ class TestCamCommands:
                        "--out", str(model_path)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "features" in out and "mape" in out
+        assert "features" in out and "mape" in out and "cp" in out
         model = model_from_json(model_path.read_text())
         assert len(model.terms) == 3
         assert model.provenance == "fitted"

@@ -289,8 +289,8 @@ def test_schedule_sequential_counts():
     inst = uniform_instance(10, seed=0)
     sched = build_schedule(DynamicsScope.absolute(4), inst, m=2)
     assert sched.step_counts == (4, 4, 4, 3, 1)
-    assert sched.kind == "sequential"
-    assert sched.absolute == 4
+    assert sched.targets == (4,)
+    assert sched.repeat_last
 
 
 def test_schedule_single_visibility():
@@ -315,6 +315,8 @@ def test_schedule_variable_counts_and_exhaustion():
     inst = uniform_instance(8, seed=0)
     sched = build_schedule(DynamicsScope.variable((3, 4, 5)), inst, m=3)
     assert sched.step_counts == (3, 4, 1)
+    assert sched.targets == (3, 4, 5)
+    assert not sched.repeat_last
     assert sched.visible_target(1) == 4
     with pytest.raises(ScheduleError):
         sched.visible_target(3)

@@ -11,10 +11,8 @@ from bdmtsp.geometry import (
     GeoPoint,
     TripRecord,
     detour_factor,
-    euclid,
     haversine,
     repair_outliers,
-    simple_dist,
 )
 
 import reference
@@ -30,11 +28,6 @@ def _trip(pickup, dropoff, ratio):
     return TripRecord(
         pickup=pickup, dropoff=dropoff, recorded_km=ratio * haversine(pickup, dropoff)
     )
-
-
-def test_euclid_345():
-    assert euclid((0.0, 0.0), (3.0, 4.0)) == 5.0
-    assert euclid((1.0, 1.0), (1.0, 1.0)) == 0.0
 
 
 def test_haversine_zero_for_identical_points():
@@ -70,37 +63,14 @@ def test_haversine_symmetric_nonnegative_bounded(lat1, lon1, lat2, lon2):
     assert d <= math.pi * EARTH_RADIUS_KM
 
 
-def test_simple_dist_one_degree_arc():
-    # (pi/180) * 6378.4, frozen independently
-    d = simple_dist(GeoPoint(0, 0), GeoPoint(0, 1))
-    assert d == pytest.approx(111.32408100920631, rel=1e-12)
-    assert simple_dist(GeoPoint(0, 0), GeoPoint(1, 0)) == pytest.approx(d)
-
-
-def test_simple_dist_close_to_haversine_nearby():
-    # flat-earth treats lon degrees like lat degrees; at this latitude a
-    # lon-dominated leg picks up cos(19.4 deg) ~ 6% skew
-    a = GeoPoint(19.37, -99.18)
-    b = GeoPoint(19.40, -99.10)
-    ds = simple_dist(a, b)
-    dh = haversine(a, b)
-    assert abs(ds - dh) / dh < 0.08
-
-
-def test_simple_dist_norms():
-    a = GeoPoint(19.0, -99.0)
-    b = GeoPoint(19.5, -98.6)
-    l2 = simple_dist(a, b, norm="l2")
-    l1 = simple_dist(a, b, norm="l1")
-    assert l1 >= l2 > 0
-    assert l1 == pytest.approx(math.pi / 180 * EARTH_RADIUS_KM * 0.9)
-    with pytest.raises(BdmtspError):
-        simple_dist(a, b, norm="l3")
-
-
-def test_simple_dist_zero():
-    assert simple_dist(DEPOT, DEPOT) == 0.0
-    assert simple_dist(DEPOT, DEPOT, norm="l1") == 0.0
+def test_haversine_antipodal_pairs_give_half_circumference():
+    # alpha rounds above 1 for 124 of these latitudes; it is capped at 1
+    half = math.pi * EARTH_RADIUS_KM
+    assert haversine(GeoPoint(0.988, 0), GeoPoint(-0.988, 180)) == pytest.approx(half)
+    assert haversine(GeoPoint(89.945, 0), GeoPoint(-89.945, 180)) == pytest.approx(half)
+    for lat in np.linspace(-1.0, 1.0, 2001):
+        d = haversine(GeoPoint(lat, 0), GeoPoint(-lat, 180))
+        assert d == pytest.approx(half, rel=1e-6)
 
 
 # ---------------------------------------------------------------- detour

@@ -1,4 +1,4 @@
-"""Parser and converter tests: TSPLIB subset, CVRP reduction, taxi CSV."""
+"""Parser and converter tests: TSPLIB subset, taxi CSV."""
 
 import math
 from datetime import datetime
@@ -8,16 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdmtsp.core import EUCLID2D, EXPLICIT, HAVERSINE, BdmtspError, Fleet, ParseError
-from bdmtsp.geometry import GeoPoint, TripRecord, euclid, haversine
+from bdmtsp.core import EUCLID2D, EXPLICIT, HAVERSINE, BdmtspError, ParseError
+from bdmtsp.geometry import EARTH_RADIUS_KM, GeoPoint, TripRecord, haversine
 from bdmtsp.io import (
-    RawCvrpInstance,
     TaxiColumns,
     TaxiFilters,
-    cvrp_to_bdmtsp,
     dump_tsplib,
     load_taxi_csv,
-    parse_cvrplib,
     parse_tsplib,
     trips_to_instance,
 )
@@ -44,30 +41,6 @@ EDGE_WEIGHT_SECTION
 EOF
 """
 
-CVRP5 = """NAME : toy5
-TYPE : CVRP
-DIMENSION : 5
-CAPACITY : 21
-EDGE_WEIGHT_TYPE : EUC_2D
-NODE_COORD_SECTION
-1 0.0 0.0
-2 1.0 0.0
-3 2.0 0.0
-4 3.0 0.0
-5 4.0 0.0
-DEMAND_SECTION
-1 0
-2 25
-3 25
-4 25
-5 25
-DEPOT_SECTION
-1
--1
-EOF
-"""
-
-
 class TestParseTsplib:
     def test_euc2d_fixture(self):
         inst = parse_tsplib(EUC3)
@@ -75,7 +48,7 @@ class TestParseTsplib:
         assert inst.metric == EUCLID2D
         assert inst.n == 3
         assert np.array_equal(inst.coords, [[0, 0], [3, 4], [6, 8]])
-        assert inst.distance(0, 1) == euclid([0, 0], [3, 4]) == 5.0
+        assert inst.distance(0, 1) == 5.0
 
     def test_explicit_full_matrix_round_trips(self):
         inst = parse_tsplib(FULL3)
@@ -168,98 +141,6 @@ class TestParseTsplib:
             parse_tsplib(FULL3.replace("1.5 0.0 2.5", "-1.5 0.0 2.5"))
 
 
-class TestParseCvrplib:
-    def test_fixture(self):
-        raw = parse_cvrplib(CVRP5)
-        assert raw.name == "toy5"
-        assert raw.capacity == 21
-        assert raw.demands == (0.0, 25.0, 25.0, 25.0, 25.0)
-        assert raw.depot == 0
-        assert raw.coords.shape == (5, 2)
-
-    def test_missing_capacity(self):
-        with pytest.raises(ParseError):
-            parse_cvrplib(CVRP5.replace("CAPACITY : 21\n", ""))
-
-    @pytest.mark.parametrize("row", ["0 25", "6 25", "1 25", "2 nan", "2 inf"])
-    def test_bad_demand_row_rejected(self, row):
-        # ids outside 1..n, a duplicate id, non-finite demand
-        with pytest.raises(ParseError):
-            parse_cvrplib(CVRP5.replace("2 25\n", row + "\n"))
-
-    def test_validation(self):
-        coords = np.array([[0.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(BdmtspError):
-            RawCvrpInstance("x", coords, (0.0, -1.0), 10.0)
-        with pytest.raises(BdmtspError):
-            RawCvrpInstance("x", coords, (0.0, 1.0), 0.0)
-        with pytest.raises(BdmtspError):
-            RawCvrpInstance("x", coords, (0.0, 1.0), 10.0, depot=2)
-        with pytest.raises(BdmtspError):
-            RawCvrpInstance("x", np.array([[0.0, 0.0], [np.nan, 0.0]]), (0.0, 1.0), 10.0)
-
-
-class TestCvrpToBdmtsp:
-    def test_xxl_fleet_formula(self):
-        raw = parse_cvrplib(CVRP5)
-        inst, fleet = cvrp_to_bdmtsp(raw, "xxl")
-        # sum q = 100, q* = 21: floor(1.05 * 100 / 21) = floor(5.0) = 5
-        assert fleet.m == 5
-        assert fleet.capacity == 1  # ceil(4 customers / 5)
-        assert inst.n == 5
-
-    def test_xxl_stop_budget(self):
-        coords = np.vstack([[0.0, 0.0], np.ones((10, 2)) * np.arange(1, 11)[:, None]])
-        raw = RawCvrpInstance("q", coords, (0.0,) + (10.0,) * 10, 21.0)
-        _, fleet = cvrp_to_bdmtsp(raw, "xxl")
-        assert fleet.m == 5  # floor(1.05 * 100 / 21)
-        assert fleet.capacity == 2  # ceil(10 / 5)
-
-    def test_xxl_zero_fleet_rejected(self):
-        coords = np.array([[0.0, 0.0], [1.0, 0.0]])
-        raw = RawCvrpInstance("tiny", coords, (0.0, 1.0), 100.0)
-        with pytest.raises(BdmtspError):
-            cvrp_to_bdmtsp(raw, "xxl")
-
-    def test_fisher_identity_seed(self):
-        raw = parse_cvrplib(CVRP5)
-        inst, fleet = cvrp_to_bdmtsp(raw, "fisher", seed=None, m=4, limit=12)
-        assert fleet == Fleet(m=4, capacity=12)
-        assert np.array_equal(inst.coords, raw.coords)  # order unchanged
-
-    def test_fisher_permutation_is_bijection_fixing_depot(self):
-        raw = parse_cvrplib(CVRP5)
-        inst, _ = cvrp_to_bdmtsp(raw, "fisher", seed=99, m=2, limit=2)
-        assert tuple(inst.coords[0]) == tuple(raw.coords[0])
-        got = sorted(map(tuple, inst.coords))
-        want = sorted(map(tuple, raw.coords))
-        assert got == want
-
-    def test_fisher_deterministic_per_seed(self):
-        raw = parse_cvrplib(CVRP5)
-        a, _ = cvrp_to_bdmtsp(raw, "fisher", seed=7, m=2, limit=2)
-        b, _ = cvrp_to_bdmtsp(raw, "fisher", seed=7, m=2, limit=2)
-        assert np.array_equal(a.coords, b.coords)
-
-    def test_fisher_needs_scenario_parameters(self):
-        raw = parse_cvrplib(CVRP5)
-        with pytest.raises(BdmtspError):
-            cvrp_to_bdmtsp(raw, "fisher", seed=1)
-        with pytest.raises(BdmtspError):
-            cvrp_to_bdmtsp(raw, "fisher", seed=1, m=0, limit=3)
-
-    def test_nonzero_depot_moves_first(self):
-        coords = np.array([[5.0, 5.0], [0.0, 0.0], [1.0, 1.0]])
-        raw = RawCvrpInstance("d", coords, (3.0, 0.0, 3.0), 4.0, depot=1)
-        inst, fleet = cvrp_to_bdmtsp(raw, "xxl")
-        assert tuple(inst.coords[0]) == (0.0, 0.0)
-        assert fleet.m == 1  # floor(1.05 * 6 / 4)
-
-    def test_unknown_mode(self):
-        with pytest.raises(BdmtspError):
-            cvrp_to_bdmtsp(parse_cvrplib(CVRP5), "magic")
-
-
 def _taxi_row(
     t="2016-12-10 09:00:00",
     plat=19.40,
@@ -288,7 +169,7 @@ class TestLoadTaxiCsv:
         text = TAXI_HEADER + "\n" + "\n".join(rows) + "\n"
         result = load_taxi_csv(text)
         assert result.total_rows == 10
-        assert result.kept == len(result) == 7
+        assert result.kept == len(result.trips) == 7
         assert result.dropped == 3
         assert result.malformed == 0
 
@@ -337,7 +218,7 @@ class TestLoadTaxiCsv:
             ]
         )
         result = load_taxi_csv(text)
-        kms = [trip.recorded_km for trip in result]
+        kms = [trip.recorded_km for trip in result.trips]
         assert kms == [1.0, 3.0, 2.0]
         assert result.trips[0].timestamp == datetime(2016, 12, 10, 8, 0, 0)
 
@@ -355,7 +236,7 @@ class TestLoadTaxiCsv:
         ]
         result = load_taxi_csv(TAXI_HEADER + "\n" + "\n".join(rows))
         filters = TaxiFilters()
-        assert all(filters.keeps(trip) for trip in result)
+        assert all(filters.keeps(trip) for trip in result.trips)
         assert result.kept + result.dropped + result.malformed == result.total_rows
 
     def test_custom_columns(self):
@@ -373,8 +254,6 @@ def _trip(plat, plon, dlat, dlon, km=1.0):
     )
 
 
-# Antipodal pairs are left out: near them the scalar formula's alpha can
-# round above 1, where math.sqrt(1 - alpha) has no value.
 _coord = st.floats(-80.0, 80.0)
 _point = st.builds(GeoPoint, lat=_coord, lon=_coord)
 
@@ -448,6 +327,16 @@ class TestTripsToInstance:
         for k in range(1, len(trips)):
             if trips[k].pickup == trips[k - 1].dropoff:
                 assert inst.dist[k, k + 1] == 0.0
+
+    def test_antipodal_legs_equal_scalar_haversine(self):
+        # alpha rounds above 1 for these pairs unless it is capped
+        a = _trip(0.5, 10.0, 0.988, 0.0)
+        b = _trip(-0.988, 180.0, 0.2, 20.0)
+        depot = GeoPoint(-0.988, 180.0)
+        inst, _ = trips_to_instance([a, b], depot)
+        assert inst.dist[1, 2] == haversine(a.dropoff, b.pickup)
+        assert inst.dist[1, 0] == haversine(a.dropoff, depot)
+        assert inst.dist[1, 2] == pytest.approx(math.pi * EARTH_RADIUS_KM)
 
     def test_empty_rejected(self):
         with pytest.raises(BdmtspError):
