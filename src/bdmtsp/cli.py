@@ -64,7 +64,14 @@ def _cmd_solve(args) -> int:
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    values = []
+    for tok in text.split(","):
+        if tok.strip():
+            try:
+                values.append(int(tok))
+            except ValueError:
+                raise BdmtspError(f"bad integer {tok.strip()!r} in list {text!r}") from None
+    return tuple(values)
 
 
 def _cmd_sweep(args) -> int:
@@ -104,6 +111,9 @@ def _cmd_cam_fit(args) -> int:
     result = cam.sweep_from_csv(Path(args.sweep).read_text())
     fmap = cam.FeatureMap.default()
     X = cam.feature_matrix(result.configs, fmap)
+    p = X.shape[1]
+    if args.keep is not None and not 1 <= args.keep <= p:
+        raise BdmtspError(f"--keep must lie in 1..{p}, got {args.keep}")
     y = np.asarray(result.y)
     steps = cam.backward_select(X, y)
     print(f"{'features':>8} {'rmse':>9} {'mape':>8} {'cp':>9} {'bic':>10}")
@@ -113,9 +123,8 @@ def _cmd_cam_fit(args) -> int:
             f"{len(step.feature_idx):>8} {stats['rmse_std']:>9.3f} "
             f"{stats['mape']:>8.2%} {stats['cp']:>9.2f} {stats['bic']:>10.1f}"
         )
-    keep = args.keep
-    if keep is not None:
-        chosen = next(s for s in steps if len(s.feature_idx) == keep)
+    if args.keep is not None:
+        chosen = steps[args.keep - 1]  # one step per feature count, ascending
     else:
         chosen = min(steps, key=lambda s: s.stats["bic"])
     model = cam.step_model(chosen, fmap)
@@ -126,11 +135,12 @@ def _cmd_cam_fit(args) -> int:
 
 
 def _cmd_cam_predict(args) -> int:
+    config = cam.Configuration(m=args.m, n=args.n, d=args.d)
     if args.model:
         model = cam.model_from_json(Path(args.model).read_text())
     else:
         model = cam.published_models()[f"published_{args.published}"]
-    value = cam.predict(model, (args.m, args.n, args.d))
+    value = cam.predict(model, config)
     print(f"{model.provenance} @ (m={args.m}, n={args.n}, d={args.d}): {value:.4f}")
     return 0
 
@@ -232,9 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cam_fit)
 
     p = sub.add_parser("cam-predict", help="evaluate a model at (m, n, d)")
-    p.add_argument("--model", help="model JSON file")
-    p.add_argument("--published", choices=("3f", "9f", "16f"),
-                   help="use an embedded published model")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model", help="model JSON file")
+    source.add_argument("--published", choices=("3f", "9f", "16f"),
+                        help="use an embedded published model")
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
     p.add_argument("d", type=int)

@@ -5,7 +5,7 @@ Dynamics scopes describe how many customers are visible per decision step,
 either directly (absolute), scaled by fleet size (m-absolute), scaled by
 customer count (relative / m-relative), or as an explicit per-step sequence
 (variable).  All scoped forms resolve to an absolute per-step visibility
-target before solving.
+target before solving.  Customers are revealed in instance node order.
 """
 
 from __future__ import annotations
@@ -285,21 +285,14 @@ def balancing_threshold(n: int, m: int) -> int:
 
 @dataclass(frozen=True)
 class RevealSchedule:
-    """Materialised reveal plan: customer ordering plus per-step targets.
+    """Per-step visible-count targets for one run.
 
-    ``step_counts`` records the visible-count targets under nominal
-    service (min(m, visible) customers served per step).  Solvers query
-    ``visible_target`` lazily, so runs that need extra steps because of
-    capacity blocking keep working for sequential scopes; a variable
-    scope raises once its sequence is exhausted.
-
-    ``targets`` holds one visible-count target per step.  A sequential
-    scope sets ``repeat_last`` and holds a single target, which therefore
-    applies at every step.
+    ``targets`` holds one target per step.  A sequential scope sets
+    ``repeat_last`` and holds a single target, which therefore applies at
+    every step, including the extra steps that capacity blocking needs;
+    a variable scope raises once its sequence is exhausted.
     """
 
-    ordering: tuple[int, ...]
-    step_counts: tuple[int, ...]
     targets: tuple[int, ...]
     repeat_last: bool
 
@@ -314,55 +307,20 @@ class RevealSchedule:
 
 
 def build_schedule(
-    scope: DynamicsScope,
-    instance: RoutingInstance,
-    m: int,
-    ordering: Sequence[int] | None = None,
+    scope: DynamicsScope, instance: RoutingInstance, m: int
 ) -> RevealSchedule:
     """Build the reveal schedule for ``instance`` under ``scope``.
 
-    ``ordering`` defaults to instance node order with the depot removed;
-    a custom ordering must be a permutation of the customer nodes.
+    A variable sequence is rejected up front when it could not serve
+    every customer even if each step served min(m, target) of them.
     """
     n = instance.n
-    if ordering is None:
-        ordering = instance.customers()
-    else:
-        ordering = tuple(int(i) for i in ordering)
-        if sorted(ordering) != sorted(instance.customers()):
-            raise ScheduleError("ordering must be a permutation of customer nodes")
     if m < 1:
         raise ScheduleError("fleet size must be >= 1")
-
-    remaining = n - 1
-    counts: list[int] = []
     if scope.kind == "variable":
-        targets = scope.value
-        step = 0
-        while remaining > 0:
-            if step >= len(targets):
-                raise ScheduleError(
-                    "variable dynamics sequence exhausted before all customers revealed"
-                )
-            visible = min(targets[step], remaining)
-            counts.append(visible)
-            remaining -= min(m, visible)
-            step += 1
-        return RevealSchedule(
-            ordering=ordering,
-            step_counts=tuple(counts),
-            targets=targets,
-            repeat_last=False,
-        )
-
-    d = resolve_scope(scope, m, n)
-    while remaining > 0:
-        visible = min(d, remaining)
-        counts.append(visible)
-        remaining -= min(m, visible)
-    return RevealSchedule(
-        ordering=ordering,
-        step_counts=tuple(counts),
-        targets=(d,),
-        repeat_last=True,
-    )
+        if sum(min(m, k) for k in scope.value) < n - 1:
+            raise ScheduleError(
+                "variable dynamics sequence exhausted before all customers revealed"
+            )
+        return RevealSchedule(targets=scope.value, repeat_last=False)
+    return RevealSchedule(targets=(resolve_scope(scope, m, n),), repeat_last=True)

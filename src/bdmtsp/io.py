@@ -124,28 +124,17 @@ def _parse_explicit(lines: Sequence[str], n: int, layout: str) -> np.ndarray:
         raise ParseError(
             f"{layout} needs {expected} entries for dimension {n}, got {len(values)}"
         )
-    dist = np.zeros((n, n))
-    it = iter(values)
     if layout == "FULL_MATRIX":
-        for i in range(n):
-            for j in range(n):
-                dist[i, j] = next(it)
-    elif layout == "LOWER_ROW":
-        for i in range(1, n):
-            for j in range(i):
-                dist[i, j] = dist[j, i] = next(it)
-    elif layout == "UPPER_ROW":
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                dist[i, j] = dist[j, i] = next(it)
-    elif layout == "LOWER_DIAG_ROW":
-        for i in range(n):
-            for j in range(i + 1):
-                dist[i, j] = dist[j, i] = next(it)
-    else:  # UPPER_DIAG_ROW
-        for i in range(n):
-            for j in range(i, n):
-                dist[i, j] = dist[j, i] = next(it)
+        return np.array(values).reshape(n, n)
+    # Row-major triangle indices visit entries in the file's row order.
+    k = 0 if layout.endswith("DIAG_ROW") else 1
+    if layout.startswith("LOWER"):
+        rows, cols = np.tril_indices(n, -k)
+    else:
+        rows, cols = np.triu_indices(n, k)
+    dist = np.zeros((n, n))
+    dist[rows, cols] = values
+    dist[cols, rows] = values
     return dist
 
 

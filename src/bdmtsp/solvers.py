@@ -1,7 +1,7 @@
 """Balanced dynamic routing heuristics.
 
 Both solvers share one dispatch loop: at each step the first ``d``
-not-yet-served customers of the reveal ordering are visible, every
+not-yet-served customers in instance node order are visible, every
 vehicle below its stop budget is active, and a step policy matches
 active vehicles to visible customers.  The closest-vehicle policy picks
 globally nearest (vehicle, customer) pairs greedily; the assignment
@@ -42,7 +42,11 @@ class RouteSet:
 
 @dataclass(frozen=True)
 class StepTrace:
-    """Instrumentation record for one dispatch step (testing hook)."""
+    """Instrumentation record for one dispatch step (testing hook).
+
+    ``costs`` is the step's own cost block; the dispatch loop and the
+    step policies only read it.
+    """
 
     step: int
     vehicles: tuple[int, ...]
@@ -85,27 +89,14 @@ def _dispatch(
             f"stop budget {cap} x {m} vehicles cannot cover {n - 1} customers"
         )
 
-    order = schedule.ordering
-    done = [False] * len(order)
-    head = 0
-    remaining = len(order)
+    pending = list(instance.customers())
     from_node = [instance.depot] * m
     stops = [0] * m
     routes: list[list[int]] = [[instance.depot] for _ in range(m)]
     step = 0
 
-    while remaining > 0:
-        target = schedule.visible_target(step)
-        while head < len(order) and done[head]:
-            head += 1
-        nodes: list[int] = []
-        positions: list[int] = []
-        idx = head
-        while idx < len(order) and len(nodes) < target:
-            if not done[idx]:
-                nodes.append(order[idx])
-                positions.append(idx)
-            idx += 1
+    while pending:
+        nodes = pending[:schedule.visible_target(step)]
         active = [k for k in range(m) if stops[k] < cap]
         block = instance.submatrix([from_node[k] for k in active], nodes)
         pairs = policy(block)
@@ -115,7 +106,7 @@ def _dispatch(
                     step=step,
                     vehicles=tuple(active),
                     nodes=tuple(nodes),
-                    costs=block.copy(),
+                    costs=block,
                     pairs=pairs,
                 )
             )
@@ -124,17 +115,13 @@ def _dispatch(
             routes[k].append(nodes[b])
             from_node[k] = nodes[b]
             stops[k] += 1
-            done[positions[b]] = True
-            remaining -= 1
+        for b in sorted((b for _, b in pairs), reverse=True):
+            del pending[b]
         step += 1
 
-    lengths, total = route_lengths([tuple(r) for r in routes], instance, closed)
-    return RouteSet(
-        routes=tuple(tuple(r) for r in routes),
-        lengths=lengths,
-        total=total,
-        closed=closed,
-    )
+    route_tuples = tuple(tuple(r) for r in routes)
+    lengths, total = route_lengths(route_tuples, instance, closed)
+    return RouteSet(routes=route_tuples, lengths=lengths, total=total, closed=closed)
 
 
 def bd_cvh(

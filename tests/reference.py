@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from bdmtsp.assignment import Assignment
-from bdmtsp.core import BdmtspError
+from bdmtsp.core import BdmtspError, ScheduleError
 
 
 def law_of_cosines_km(lat1, lon1, lat2, lon2, radius=6378.4):
@@ -215,3 +215,25 @@ def brute_force_assignment(cost) -> Assignment:
     return Assignment(
         pairs=best_pairs, cost=math.fsum(c[r, j] for r, j in best_pairs)
     )
+
+
+def nominal_step_counts(targets, m, n):
+    """Visible counts of a variable schedule under nominal service.
+
+    Each step reveals min(target, unserved) customers and serves
+    min(m, visible) of them.  Raises ``ScheduleError`` when the targets
+    run out before all n - 1 customers are served.
+    """
+    remaining = n - 1
+    counts = []
+    step = 0
+    while remaining > 0:
+        if step >= len(targets):
+            raise ScheduleError(
+                "variable dynamics sequence exhausted before all customers revealed"
+            )
+        visible = min(targets[step], remaining)
+        counts.append(visible)
+        remaining -= min(m, visible)
+        step += 1
+    return tuple(counts)

@@ -130,6 +130,12 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "closest - assignment" in out and "%" in out
 
+    @pytest.mark.parametrize("flag", ["--m-list", "--n-list", "--d-list"])
+    def test_bad_list_token_exits_2(self, flag, capsys):
+        rc = cli.main(["sweep", flag, "3,a", "--reps", "1"])
+        assert rc == 2
+        assert "'a'" in capsys.readouterr().err
+
 
 class TestCamCommands:
     @pytest.mark.parametrize("row", ["1,50", "1,60,5,2.5,3,0"])
@@ -170,6 +176,32 @@ class TestCamCommands:
         rc = cli.main(["cam-predict", "--published", "3f", "3", "100", "15"])
         assert rc == 0
         assert "18.8471" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("keep", ["0", "65", "100"])
+    def test_fit_keep_out_of_range_exits_2(self, tmp_path, keep, capsys):
+        sweep_csv = tmp_path / "sweep.csv"
+        sweep_csv.write_text(
+            "m,n,d,mean_len,reps,seed\n"
+            + "".join(f"{m},{n},5,{m + n / 10},1,0\n" for m in (1, 2) for n in (50, 60))
+        )
+        rc = cli.main(["cam-fit", "--sweep", str(sweep_csv), "--keep", keep])
+        assert rc == 2
+        assert "1..64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "source", [[], ["--published", "3f", "--model", "model.json"]]
+    )
+    def test_predict_needs_exactly_one_model_source(self, source, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["cam-predict", *source, "3", "100", "15"])
+        assert exc.value.code == 2
+        assert "--model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mnd", [["9", "-3", "100"], ["0", "100", "15"], ["3", "100", "0"]])
+    def test_predict_rejects_nonpositive_configuration(self, mnd, capsys):
+        rc = cli.main(["cam-predict", "--published", "9f", *mnd])
+        assert rc == 2
+        assert "must be >= 1" in capsys.readouterr().err
 
 
 class TestWarehouseCommand:

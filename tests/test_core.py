@@ -18,7 +18,9 @@ from bdmtsp.core import (
     resolve_scope,
     round_half_up,
 )
+from bdmtsp.solvers import bd_avh, bd_cvh
 
+import reference
 from conftest import uniform_instance
 
 
@@ -277,32 +279,48 @@ def test_fleet_validation():
 # --------------------------------------------------------------- schedules
 
 
+def _visible_counts(inst, scope, m):
+    """Visible count per dispatch step, one tuple per policy (cvh, avh)."""
+    counts = []
+    for solver in (bd_cvh, bd_avh):
+        traces = []
+        solver(inst, Fleet(m=m), build_schedule(scope, inst, m), on_step=traces.append)
+        counts.append(tuple(len(t.nodes) for t in traces))
+    return tuple(counts)
+
+
 def test_schedule_default_ordering_skips_depot():
+    # customers are revealed in node order with the depot left out
     inst = RoutingInstance(name="x", metric="euclid2d", coords=np.random.rand(5, 2), depot=2)
     sched = build_schedule(DynamicsScope.absolute(2), inst, m=1)
-    assert sched.ordering == (0, 1, 3, 4)
+    for solver in (bd_cvh, bd_avh):
+        traces = []
+        solver(inst, Fleet(m=1), sched, on_step=traces.append)
+        assert traces[0].nodes == (0, 1)
+        revealed = []
+        for t in traces:
+            revealed += [node for node in t.nodes if node not in revealed]
+        assert revealed == [0, 1, 3, 4]
 
 
 def test_schedule_sequential_counts():
-    # 9 customers, target 4, two vehicles: nominal service removes 2 per
-    # step, so visibility runs 4,4,4 then the 3-then-1 tail.
+    # 9 customers, target 4, two vehicles: each step serves 2, so
+    # visibility runs 4,4,4 then the 3-then-1 tail.
     inst = uniform_instance(10, seed=0)
     sched = build_schedule(DynamicsScope.absolute(4), inst, m=2)
-    assert sched.step_counts == (4, 4, 4, 3, 1)
     assert sched.targets == (4,)
     assert sched.repeat_last
+    assert _visible_counts(inst, DynamicsScope.absolute(4), 2) == ((4, 4, 4, 3, 1),) * 2
 
 
 def test_schedule_single_visibility():
     inst = uniform_instance(6, seed=0)
-    sched = build_schedule(DynamicsScope.absolute(1), inst, m=3)
-    assert sched.step_counts == (1, 1, 1, 1, 1)
+    assert _visible_counts(inst, DynamicsScope.absolute(1), 3) == ((1, 1, 1, 1, 1),) * 2
 
 
 def test_schedule_full_visibility():
     inst = uniform_instance(10, seed=0)
-    sched = build_schedule(DynamicsScope.relative(1.0), inst, m=3)
-    assert sched.step_counts == (9, 6, 3)
+    assert _visible_counts(inst, DynamicsScope.relative(1.0), 3) == ((9, 6, 3),) * 2
 
 
 def test_schedule_sequential_target_never_exhausts():
@@ -313,13 +331,14 @@ def test_schedule_sequential_target_never_exhausts():
 
 def test_schedule_variable_counts_and_exhaustion():
     inst = uniform_instance(8, seed=0)
-    sched = build_schedule(DynamicsScope.variable((3, 4, 5)), inst, m=3)
-    assert sched.step_counts == (3, 4, 1)
+    scope = DynamicsScope.variable((3, 4, 5))
+    sched = build_schedule(scope, inst, m=3)
     assert sched.targets == (3, 4, 5)
     assert not sched.repeat_last
     assert sched.visible_target(1) == 4
     with pytest.raises(ScheduleError):
         sched.visible_target(3)
+    assert _visible_counts(inst, scope, 3) == ((3, 4, 1),) * 2
 
 
 def test_schedule_variable_too_short_rejected():
@@ -328,14 +347,24 @@ def test_schedule_variable_too_short_rejected():
         build_schedule(DynamicsScope.variable((1, 1)), inst, m=1)
 
 
-def test_schedule_custom_ordering_must_be_permutation():
-    inst = uniform_instance(5, seed=0)
-    sched = build_schedule(DynamicsScope.absolute(2), inst, m=1, ordering=[4, 3, 2, 1])
-    assert sched.ordering == (4, 3, 2, 1)
-    with pytest.raises(ScheduleError):
-        build_schedule(DynamicsScope.absolute(2), inst, m=1, ordering=[1, 2, 3])
-    with pytest.raises(ScheduleError):
-        build_schedule(DynamicsScope.absolute(2), inst, m=1, ordering=[0, 1, 2, 3])
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=10),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=-3, max_value=3),
+)
+def test_variable_schedule_rejected_exactly_when_nominal_service_runs_out(targets, m, offset):
+    # n lands within a few customers of what the sequence can serve
+    n = max(2, sum(min(m, k) for k in targets) + 1 + offset)
+    inst = uniform_instance(n, seed=0)
+    try:
+        reference.nominal_step_counts(targets, m, n)
+    except ScheduleError:
+        with pytest.raises(ScheduleError, match="exhausted"):
+            build_schedule(DynamicsScope.variable(targets), inst, m=m)
+    else:
+        sched = build_schedule(DynamicsScope.variable(targets), inst, m=m)
+        assert sched.targets == tuple(targets)
 
 
 @settings(max_examples=60, deadline=None)
@@ -343,16 +372,25 @@ def test_schedule_custom_ordering_must_be_permutation():
     st.integers(min_value=2, max_value=60),
     st.integers(min_value=1, max_value=8),
     st.integers(min_value=1, max_value=60),
+    st.integers(min_value=0, max_value=59),
+    st.sampled_from([bd_cvh, bd_avh]),
 )
-def test_schedule_reveals_every_customer_exactly(n, m, d):
-    inst = uniform_instance(n, seed=n * 1000 + m)
-    sched = build_schedule(DynamicsScope.absolute(min(d, n - 1)), inst, m=m)
-    served_before = 0
-    revealed = 0
-    for c in sched.step_counts:
-        assert c >= 1
-        revealed = max(revealed, served_before + c)
-        assert revealed <= n - 1
-        served_before += min(m, c)
-    assert served_before == n - 1
-    assert revealed == n - 1
+def test_schedule_reveals_every_customer_exactly(n, m, d, depot, solver):
+    depot %= n
+    coords = np.random.default_rng(n * 1000 + m).random((n, 2))
+    inst = RoutingInstance(name="p", metric="euclid2d", coords=coords, depot=depot)
+    sched = build_schedule(DynamicsScope.absolute(d), inst, m=m)
+    customers = [i for i in range(n) if i != depot]
+    served: list[int] = []
+    traces = []
+    out = solver(inst, Fleet(m=m), sched, on_step=traces.append)
+    for t in traces:
+        unserved = [c for c in customers if c not in served]
+        target = sched.visible_target(t.step)
+        assert t.nodes == tuple(unserved[: min(target, len(unserved))])
+        assert depot not in t.nodes
+        for _, b in t.pairs:
+            assert t.nodes[b] not in served
+            served.append(t.nodes[b])
+    assert sorted(served) == customers
+    assert sorted(node for route in out.routes for node in route[1:]) == customers

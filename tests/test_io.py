@@ -75,16 +75,26 @@ class TestParseTsplib:
             ("UPPER_ROW", "1.0 2.0\n3.0"),
             ("LOWER_DIAG_ROW", "0.0\n1.0 0.0\n2.0 3.0 0.0"),
             ("UPPER_DIAG_ROW", "0.0 1.0 2.0\n0.0 3.0\n0.0"),
+            # n = 4: row-major and column-major triangle orders differ
+            ("LOWER_ROW", "1\n2 3\n4 5 6"),
+            ("UPPER_ROW", "1 2 4\n3 5\n6"),
+            ("LOWER_DIAG_ROW", "0\n1 0\n2 3 0\n4 5 6 0"),
+            ("UPPER_DIAG_ROW", "0 1 2 4\n0 3 5\n0 6\n0"),
         ],
     )
     def test_triangular_layouts(self, layout, entries):
+        # one line per matrix row; the non-diagonal triangles skip a row
+        n = len(entries.splitlines()) + (layout in ("LOWER_ROW", "UPPER_ROW"))
         text = (
-            "NAME : tri\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EXPLICIT\n"
+            f"NAME : tri\nDIMENSION : {n}\nEDGE_WEIGHT_TYPE : EXPLICIT\n"
             f"EDGE_WEIGHT_FORMAT : {layout}\nEDGE_WEIGHT_SECTION\n{entries}\nEOF\n"
         )
         inst = parse_tsplib(text)
-        want = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
-        assert np.array_equal(inst.full_matrix(), want)
+        want = {
+            3: [[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]],
+            4: [[0, 1, 2, 4], [1, 0, 3, 5], [2, 3, 0, 6], [4, 5, 6, 0]],
+        }[n]
+        assert np.array_equal(inst.full_matrix(), np.array(want, dtype=float))
 
     def test_entries_may_flow_across_lines(self):
         text = (

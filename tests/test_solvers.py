@@ -169,7 +169,6 @@ def test_capacity_blocking_extends_sequential_run():
     coords = [[0.0, 0.0]] + [[1.0, 0.01 * k] for k in range(1, 12)]
     inst = RoutingInstance(name="cluster", metric="euclid2d", coords=np.array(coords))
     sched = build_schedule(DynamicsScope.absolute(3), inst, m=4)
-    assert len(sched.step_counts) == 4  # nominal plan
     steps = []
     out = bd_cvh(inst, Fleet(m=4), sched, on_step=steps.append)
     assert len(steps) == 5
