@@ -1,27 +1,30 @@
 """Continuous approximation models for dispatch-length prediction.
 
 A configuration (m vehicles, n customers, d visibility) maps to a mean
-open tour length.  Features are monomials m^p1 * n^p2 * d^p3 over a
-small power set; models are ordinary least squares fits over those
-features, thinned by backward stepwise selection.  Three published
-coefficient sets are embedded for direct prediction.
+tour length.  Features are the monomials m^p1 * n^p2 * d^p3 of
+``TERMS``; models are ordinary least squares fits over those features,
+thinned by backward stepwise selection.  Three published coefficient
+sets are embedded for direct prediction.  They predict closed-walk
+means (every route returns to the depot), while ``bdmtsp sweep``
+records open walks unless run with ``--closed``: compare the published
+models only against closed sweeps.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import BdmtspError
 
 __all__ = [
-    "DEFAULT_POWERS",
+    "TERMS",
     "Configuration",
-    "FeatureMap",
     "CamModel",
     "SweepResult",
     "SelectionStep",
@@ -42,7 +45,9 @@ __all__ = [
     "sweep_from_csv",
 ]
 
-DEFAULT_POWERS = (0.0, 0.5, 1.0, 2.0)
+# The model basis: (m, n, d) power triples over the powers 0, 1/2, 1 and
+# 2, in odometer order (the m power varies slowest, the d power fastest).
+TERMS = tuple(itertools.product((0.0, 0.5, 1.0, 2.0), repeat=3))
 
 
 @dataclass(frozen=True)
@@ -58,44 +63,6 @@ class Configuration:
             raise BdmtspError("configuration components must be >= 1")
 
 
-@dataclass(frozen=True)
-class FeatureMap:
-    """Ordered monomial basis over (m, n, d) power triples."""
-
-    powers: tuple[float, ...]
-    terms: tuple[tuple[float, float, float], ...]
-
-    @classmethod
-    def default(cls, powers: Sequence[float] = DEFAULT_POWERS) -> "FeatureMap":
-        powers = tuple(float(p) for p in powers)
-        # odometer order: first power varies slowest, third fastest
-        terms = tuple(
-            (p1, p2, p3) for p1 in powers for p2 in powers for p3 in powers
-        )
-        return cls(powers=powers, terms=terms)
-
-    def label(self, term: tuple[float, float, float]) -> str:
-        names = ("m", "n", "d")
-        parts = []
-        for name, p in zip(names, term):
-            if p == 0:
-                continue
-            if p == 0.5:
-                parts.append(f"sqrt({name})")
-            elif p == 1:
-                parts.append(name)
-            else:
-                parts.append(f"{name}^{p:g}")
-        return "*".join(parts) if parts else "1"
-
-
-def _as_mnd(config) -> tuple[float, float, float]:
-    if isinstance(config, Configuration):
-        return float(config.m), float(config.n), float(config.d)
-    m, n, d = config
-    return float(m), float(n), float(d)
-
-
 def _power(base: float, exp: float) -> float:
     # 0^0 is the intercept convention, not an error
     if exp == 0.0:
@@ -103,16 +70,34 @@ def _power(base: float, exp: float) -> float:
     return base**exp
 
 
-def feature_matrix(configs: Sequence, fmap: FeatureMap | None = None) -> np.ndarray:
-    """Feature rows for each configuration under ``fmap``."""
+def _monomials(config, terms) -> list[float]:
+    """m^p1 * n^p2 * d^p3 at ``config`` for each power triple in ``terms``.
+
+    Raises when a value overflows or is not finite, so no fit or
+    prediction ever sees an inf or a nan feature.
+    """
+    try:
+        if isinstance(config, Configuration):
+            m, n, d = float(config.m), float(config.n), float(config.d)
+        else:
+            m, n, d = (float(v) for v in config)
+        if min(m, n, d) < 0:  # a half power would turn complex
+            raise BdmtspError("m, n and d must be nonnegative")
+        values = [_power(m, p1) * _power(n, p2) * _power(d, p3) for p1, p2, p3 in terms]
+    except OverflowError:
+        values = [math.inf]
+    if not all(map(math.isfinite, values)):
+        raise BdmtspError("(m, n, d) too large: model features overflow the float range")
+    return values
+
+
+def feature_matrix(configs: Sequence) -> np.ndarray:
+    """Feature rows, one column per ``TERMS`` entry, for each configuration."""
     if len(configs) == 0:
         raise BdmtspError("need at least one configuration")
-    fmap = fmap or FeatureMap.default()
-    out = np.empty((len(configs), len(fmap.terms)))
+    out = np.empty((len(configs), len(TERMS)))
     for i, config in enumerate(configs):
-        m, n, d = _as_mnd(config)
-        for j, (p1, p2, p3) in enumerate(fmap.terms):
-            out[i, j] = _power(m, p1) * _power(n, p2) * _power(d, p3)
+        out[i] = _monomials(config, TERMS)
     return out
 
 
@@ -246,26 +231,30 @@ class CamModel:
     fit_stats: dict | None = None
 
     def __post_init__(self) -> None:
+        if not self.terms:
+            raise BdmtspError("model needs at least one term")
         for term, coef in self.terms:
-            if len(term) != 3 or not math.isfinite(coef):
-                raise BdmtspError("model terms must be (power-triple, finite coef)")
+            if term not in TERMS or not math.isfinite(coef):
+                raise BdmtspError(
+                    f"model term {term}: powers must be a basis triple "
+                    "(each 0, 0.5, 1 or 2) and the coefficient finite"
+                )
 
 
-def step_model(step: SelectionStep, fmap: FeatureMap | None = None) -> CamModel:
+def step_model(step: SelectionStep) -> CamModel:
     """Attach power triples to a selection step's retained columns."""
-    fmap = fmap or FeatureMap.default()
-    terms = tuple(
-        (fmap.terms[idx], coef) for idx, coef in zip(step.feature_idx, step.coef)
-    )
+    terms = tuple((TERMS[idx], coef) for idx, coef in zip(step.feature_idx, step.coef))
     return CamModel(terms=terms, provenance="fitted", fit_stats=dict(step.stats))
 
 
 def predict(model: CamModel, config) -> float:
     """Evaluate the model polynomial at one configuration."""
-    m, n, d = _as_mnd(config)
+    values = _monomials(config, [term for term, _ in model.terms])
     total = 0.0
-    for (p1, p2, p3), coef in model.terms:
-        total += coef * _power(m, p1) * _power(n, p2) * _power(d, p3)
+    for (_, coef), value in zip(model.terms, values):
+        total += coef * value
+    if not math.isfinite(total):
+        raise BdmtspError("the model prediction overflows the float range")
     return total
 
 

@@ -57,7 +57,7 @@ def _route(args, instance, capacity, closed: bool):
 
 
 def _cmd_solve(args) -> int:
-    instance = bio.parse_tsplib(Path(args.instance).read_text())
+    instance = bio.parse_tsplib(bio.read_text(args.instance))
     routes = _route(args, instance, args.capacity, args.closed)
     _print_routes(instance, routes, args.out)
     return 0
@@ -108,9 +108,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_cam_fit(args) -> int:
-    result = cam.sweep_from_csv(Path(args.sweep).read_text())
-    fmap = cam.FeatureMap.default()
-    X = cam.feature_matrix(result.configs, fmap)
+    result = cam.sweep_from_csv(bio.read_text(args.sweep))
+    X = cam.feature_matrix(result.configs)
     p = X.shape[1]
     if args.keep is not None and not 1 <= args.keep <= p:
         raise BdmtspError(f"--keep must lie in 1..{p}, got {args.keep}")
@@ -127,7 +126,7 @@ def _cmd_cam_fit(args) -> int:
         chosen = steps[args.keep - 1]  # one step per feature count, ascending
     else:
         chosen = min(steps, key=lambda s: s.stats["bic"])
-    model = cam.step_model(chosen, fmap)
+    model = cam.step_model(chosen)
     if args.out:
         Path(args.out).write_text(cam.model_to_json(model) + "\n")
         print(f"kept {len(chosen.feature_idx)} features -> {args.out}")
@@ -137,7 +136,7 @@ def _cmd_cam_fit(args) -> int:
 def _cmd_cam_predict(args) -> int:
     config = cam.Configuration(m=args.m, n=args.n, d=args.d)
     if args.model:
-        model = cam.model_from_json(Path(args.model).read_text())
+        model = cam.model_from_json(bio.read_text(args.model))
     else:
         model = cam.published_models()[f"published_{args.published}"]
     value = cam.predict(model, config)
@@ -146,8 +145,8 @@ def _cmd_cam_predict(args) -> int:
 
 
 def _cmd_warehouse(args) -> int:
-    net = wh.parse_layout(Path(args.layout).read_text())
-    jobs = wh.parse_jobs_csv(Path(args.jobs).read_text(), net)
+    net = wh.parse_layout(bio.read_text(args.layout))
+    jobs = wh.parse_jobs_csv(bio.read_text(args.jobs), net)
     instance, internal = wh.jobs_to_instance(net, jobs, args.depot)
     routes = _route(args, instance, args.capacity, closed=True)
     print(f"jobs {len(jobs)}, job-level total {routes.total:.3f}, "
@@ -167,7 +166,7 @@ def _cmd_warehouse(args) -> int:
 
 
 def _cmd_taxi(args) -> int:
-    result = bio.load_taxi_csv(Path(args.csv).read_text())
+    result = bio.load_taxi_csv(bio.read_text(args.csv))
     print(f"rows {result.total_rows}: kept {result.kept}, "
           f"dropped {result.dropped}, malformed {result.malformed}")
     if result.kept == 0:
@@ -288,11 +287,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BdmtspError as exc:
+    except (BdmtspError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc.filename}: not found", file=sys.stderr)
         return 2
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -23,9 +22,6 @@ __all__ = [
     "ScheduleError",
     "InfeasibleError",
     "ParseError",
-    "EUCLID2D",
-    "EXPLICIT",
-    "HAVERSINE",
     "RoutingInstance",
     "DynamicsScope",
     "Fleet",
@@ -57,13 +53,6 @@ class ParseError(BdmtspError):
     pass
 
 
-EUCLID2D = "euclid2d"
-EXPLICIT = "explicit"
-HAVERSINE = "haversine"
-
-_METRICS = frozenset({EUCLID2D, EXPLICIT, HAVERSINE})
-
-
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr, dtype=float)
     arr.flags.writeable = False
@@ -74,25 +63,21 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 class RoutingInstance:
     """Immutable routing instance: node set with a distinguished depot.
 
-    Exactly one of ``coords`` / ``dist`` must be given, or both if they are
-    consistent.  ``coords`` is an (n, 2) array of planar points (or lat/lon
-    pairs for pre-expanded haversine matrices); ``dist`` is an explicit
-    (n, n) matrix, possibly asymmetric.  Distances for coordinate-only
-    instances are computed on demand, so very large instances never
-    materialise the full matrix.
+    Exactly one of ``coords`` / ``dist`` must be given.  ``coords`` is an
+    (n, 2) array of planar points, measured with the Euclidean metric;
+    ``dist`` is an explicit (n, n) matrix, possibly asymmetric.  Distances
+    for coordinate instances are computed on demand, so very large
+    instances never materialise the full matrix.
     """
 
     name: str
-    metric: str
     coords: np.ndarray | None = None
     dist: np.ndarray | None = None
     depot: int = 0
 
     def __post_init__(self) -> None:
-        if self.metric not in _METRICS:
-            raise BdmtspError(f"unknown metric tag {self.metric!r}")
-        if self.coords is None and self.dist is None:
-            raise BdmtspError("instance needs coords or an explicit matrix")
+        if (self.coords is None) == (self.dist is None):
+            raise BdmtspError("instance needs exactly one of coords and dist")
         if self.coords is not None:
             coords = _readonly(self.coords)
             if coords.ndim != 2 or coords.shape[1] != 2:
@@ -100,7 +85,7 @@ class RoutingInstance:
             if not np.all(np.isfinite(coords)):
                 raise BdmtspError("coordinates must be finite")
             object.__setattr__(self, "coords", coords)
-        if self.dist is not None:
+        else:
             dist = _readonly(self.dist)
             if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
                 raise BdmtspError("dist must be a square matrix")
@@ -109,13 +94,6 @@ class RoutingInstance:
             if np.any(np.diagonal(dist) != 0.0):
                 raise BdmtspError("distance matrix diagonal must be zero")
             object.__setattr__(self, "dist", dist)
-        if self.coords is not None and self.dist is not None:
-            if len(self.coords) != len(self.dist):
-                raise BdmtspError("coords and dist disagree on node count")
-            if self.metric == EUCLID2D and not np.allclose(
-                self.dist, _euclid_matrix(self.coords), rtol=1e-9, atol=1e-9
-            ):
-                raise BdmtspError("explicit matrix inconsistent with coords")
         if self.n < 2:
             raise BdmtspError("instance needs at least two nodes")
         if not 0 <= self.depot < self.n:
@@ -170,7 +148,7 @@ class DynamicsScope:
     """
 
     kind: str
-    value: int | float | Fraction | tuple[int, ...]
+    value: int | float | tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.kind not in _SCOPE_KINDS:
@@ -186,8 +164,8 @@ class DynamicsScope:
             if not v or any(not isinstance(k, int) or k < 1 for k in v):
                 raise ScopeError("variable scope needs integer counts >= 1")
         else:
-            if not isinstance(v, (int, float, Fraction)) or v <= 0:
-                raise ScopeError(f"{self.kind} scope must be positive")
+            if not isinstance(v, (int, float)) or v <= 0:
+                raise ScopeError(f"{self.kind} scope must be a positive int or float")
             if isinstance(v, float) and not math.isfinite(v):
                 raise ScopeError(f"{self.kind} scope must be finite")
             if self.kind in ("relative", "m_relative") and v > 1:
@@ -243,8 +221,6 @@ def round_half_up(x) -> int:
     Scope conversions depend on half-up behaviour; Python's round() does
     banker's rounding and must not be substituted here.
     """
-    if isinstance(x, Fraction):
-        return math.floor(x + Fraction(1, 2))
     return math.floor(x + 0.5)
 
 

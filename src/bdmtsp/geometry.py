@@ -49,7 +49,7 @@ class TripRecord:
             raise BdmtspError("recorded distance must be nonnegative")
 
 
-def haversine(a: GeoPoint, b: GeoPoint, radius: float = EARTH_RADIUS_KM) -> float:
+def haversine(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance in km.
 
     Uses the arctan2 form, which stays accurate for nearby points where
@@ -65,26 +65,33 @@ def haversine(a: GeoPoint, b: GeoPoint, radius: float = EARTH_RADIUS_KM) -> floa
         * math.sin(dlon / 2.0) ** 2,
         1.0,
     )
-    return 2.0 * radius * math.atan2(math.sqrt(alpha), math.sqrt(1.0 - alpha))
+    return 2.0 * EARTH_RADIUS_KM * math.atan2(math.sqrt(alpha), math.sqrt(1.0 - alpha))
 
 
-def _trip_ratio(trip: TripRecord) -> tuple[float, float]:
-    """(recorded/great-circle ratio, great-circle km); ratio is inf when
-    the endpoints coincide but distance was recorded."""
+# A trip whose recorded distance exceeds this multiple of the great-circle
+# distance between its endpoints is an odometer outlier.
+_OUTLIER_RATIO = 3.0
+
+
+def _is_outlier(trip: TripRecord) -> tuple[bool, float, float]:
+    """(outlier?, recorded/great-circle ratio, great-circle km).
+
+    A trip is an outlier when its ratio is above ``_OUTLIER_RATIO`` or is
+    not a number, or when its endpoints coincide (ratio reported as nan).
+    """
     d_h = haversine(trip.pickup, trip.dropoff)
     if d_h == 0.0:
-        return (math.inf if trip.recorded_km > 0 else math.nan), d_h
-    return trip.recorded_km / d_h, d_h
+        return True, math.nan, d_h
+    ratio = trip.recorded_km / d_h
+    return not ratio <= _OUTLIER_RATIO, ratio, d_h
 
 
-def detour_factor(
-    trips: Iterable[TripRecord], outlier_ratio: float = 3.0
-) -> tuple[float, tuple[int, ...]]:
+def detour_factor(trips: Iterable[TripRecord]) -> tuple[float, tuple[int, ...]]:
     """Mean recorded/great-circle ratio over plausible trips.
 
-    Trips whose ratio exceeds ``outlier_ratio`` (or whose endpoints coincide)
-    are excluded from the mean and reported as outlier indices.  Raises
-    when no trip survives the filter.
+    Trips whose ratio exceeds ``_OUTLIER_RATIO`` (or whose endpoints
+    coincide) are excluded from the mean and reported as outlier indices.
+    Raises when no trip survives the filter.
     """
     trips = list(trips)
     if not trips:
@@ -92,8 +99,8 @@ def detour_factor(
     ratios = []
     outliers = []
     for i, trip in enumerate(trips):
-        ratio, _ = _trip_ratio(trip)
-        if math.isnan(ratio) or math.isinf(ratio) or ratio > outlier_ratio:
+        outlier, ratio, _ = _is_outlier(trip)
+        if outlier:
             outliers.append(i)
         else:
             ratios.append(ratio)
@@ -102,9 +109,7 @@ def detour_factor(
     return sum(ratios) / len(ratios), tuple(outliers)
 
 
-def repair_outliers(
-    trips: Sequence[TripRecord], factor: float, outlier_ratio: float = 3.0
-) -> list[TripRecord]:
+def repair_outliers(trips: Sequence[TripRecord], factor: float) -> list[TripRecord]:
     """Replace outlier recorded distances by factor * great-circle distance.
 
     Non-outlier trips are returned unchanged; the input is not mutated.
@@ -113,9 +118,6 @@ def repair_outliers(
         raise BdmtspError("detour factor must be positive")
     repaired = []
     for trip in trips:
-        ratio, d_h = _trip_ratio(trip)
-        if math.isnan(ratio) or math.isinf(ratio) or ratio > outlier_ratio:
-            repaired.append(replace(trip, recorded_km=factor * d_h))
-        else:
-            repaired.append(trip)
+        outlier, _, d_h = _is_outlier(trip)
+        repaired.append(replace(trip, recorded_km=factor * d_h) if outlier else trip)
     return repaired

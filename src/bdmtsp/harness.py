@@ -16,19 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from .cam import Configuration, SweepResult
-from .core import (
-    EUCLID2D,
-    BdmtspError,
-    DynamicsScope,
-    Fleet,
-    RoutingInstance,
-    build_schedule,
-)
-from .io import parse_tsplib
+from .core import BdmtspError, DynamicsScope, Fleet, RoutingInstance, build_schedule
+from .io import parse_tsplib, read_text
 # The registry object itself, not a copy: perfbench/layers.py rebinds its
 # entries (and this module's build_schedule, instance_for, parse_tsplib),
 # so run_sweep and reproduce_table must look all of them up at call time.
-from .solvers import ALGORITHMS as _ALGORITHMS, relative_difference
+from .solvers import ALGORITHMS as _ALGORITHMS, relative_difference, route_lengths
 
 __all__ = [
     "ExperimentSpec",
@@ -60,7 +53,7 @@ def gen_uniform(n: int, seed) -> RoutingInstance:
         if not mask.any():
             break
         coords[mask] = rng.uniform(size=int(mask.sum()))
-    return RoutingInstance(name=f"uniform-{n}", metric=EUCLID2D, coords=coords)
+    return RoutingInstance(name=f"uniform-{n}", coords=coords)
 
 
 def instance_for(seed: int, config_index: int, rep: int, n: int) -> RoutingInstance:
@@ -329,16 +322,15 @@ def reproduce_table(table_id: str, data_dir) -> TableReport:
             if fname not in missing:
                 missing.append(fname)
             continue
-        instance = parse_tsplib(path.read_text())
+        instance = parse_tsplib(read_text(path))
         fleet = Fleet(m=m)
         for idx, value in enumerate(values):
             scope = DynamicsScope(kind, value)
             schedule = build_schedule(scope, instance, m)
             for algorithm, pub_values in sorted(published.items()):
+                # closing the walks changes their lengths, not the routes
                 open_rs = _ALGORITHMS[algorithm](instance, fleet, schedule)
-                closed_rs = _ALGORITHMS[algorithm](
-                    instance, fleet, schedule, closed=True
-                )
+                _, closed_total = route_lengths(open_rs.routes, instance, closed=True)
                 rows.append(
                     TableRow(
                         instance=fname,
@@ -347,7 +339,7 @@ def reproduce_table(table_id: str, data_dir) -> TableReport:
                         algorithm=algorithm,
                         published=float(pub_values[idx]),
                         computed_open=open_rs.total,
-                        computed_closed=closed_rs.total,
+                        computed_closed=closed_total,
                     )
                 )
     gates = []

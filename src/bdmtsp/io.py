@@ -13,29 +13,30 @@ import math
 from dataclasses import dataclass
 from datetime import datetime
 from itertools import repeat
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    EUCLID2D,
-    EXPLICIT,
-    HAVERSINE,
-    BdmtspError,
-    ParseError,
-    RoutingInstance,
-)
+from .core import BdmtspError, ParseError, RoutingInstance
 from .geometry import EARTH_RADIUS_KM, GeoPoint, TripRecord, haversine
 
 __all__ = [
-    "TaxiColumns",
-    "TaxiFilters",
     "TaxiLoadResult",
+    "read_text",
     "parse_tsplib",
     "dump_tsplib",
     "load_taxi_csv",
     "trips_to_instance",
 ]
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of the file at ``path``; other bytes are a ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 # ------------------------------------------------------------- TSPLIB
@@ -84,9 +85,9 @@ def _section(sections, name: str) -> list[str] | None:
 
 def _parse_coords(lines: Sequence[str], n: int) -> np.ndarray:
     """Coordinate rows in file order; the ids must be a permutation of 1..n."""
-    coords = np.empty((n, 2))
     if len(lines) != n:
         raise ParseError(f"expected {n} coordinate rows, found {len(lines)}")
+    coords = np.empty((n, 2))
     seen: set[int] = set()
     for i, line in enumerate(lines):
         parts = line.split()
@@ -160,7 +161,7 @@ def parse_tsplib(text: str) -> RoutingInstance:
         lines = _section(sections, "NODE_COORD_SECTION")
         if lines is None:
             raise ParseError("EUC_2D instance lacks NODE_COORD_SECTION")
-        data = {"metric": EUCLID2D, "coords": _parse_coords(lines, n)}
+        data = {"coords": _parse_coords(lines, n)}
     elif ewt == "EXPLICIT":
         layout = fields.get("EDGE_WEIGHT_FORMAT", "FULL_MATRIX").upper()
         if layout not in _EXPLICIT_FORMATS:
@@ -168,7 +169,7 @@ def parse_tsplib(text: str) -> RoutingInstance:
         lines = _section(sections, "EDGE_WEIGHT_SECTION")
         if lines is None:
             raise ParseError("EXPLICIT instance lacks EDGE_WEIGHT_SECTION")
-        data = {"metric": EXPLICIT, "dist": _parse_explicit(lines, n, layout)}
+        data = {"dist": _parse_explicit(lines, n, layout)}
     else:
         raise ParseError(f"unsupported EDGE_WEIGHT_TYPE {ewt!r}")
     try:
@@ -183,7 +184,7 @@ def dump_tsplib(instance: RoutingInstance) -> str:
     Uses 17 significant digits so parse -> dump -> parse is exact.
     """
     out = [f"NAME : {instance.name}", "TYPE : TSP", f"DIMENSION : {instance.n}"]
-    if instance.metric == EUCLID2D and instance.coords is not None:
+    if instance.coords is not None:
         out.append("EDGE_WEIGHT_TYPE : EUC_2D")
         out.append("NODE_COORD_SECTION")
         for i, (x, y) in enumerate(instance.coords, start=1):
@@ -201,51 +202,30 @@ def dump_tsplib(instance: RoutingInstance) -> str:
 # --------------------------------------------------------------- taxi
 
 
-@dataclass(frozen=True)
-class TaxiColumns:
-    """CSV column names plus their units (seconds and meters upstream)."""
-
-    pickup_lat: str = "pickup_latitude"
-    pickup_lon: str = "pickup_longitude"
-    dropoff_lat: str = "dropoff_latitude"
-    dropoff_lon: str = "dropoff_longitude"
-    pickup_time: str = "pickup_datetime"
-    duration_s: str = "trip_duration"
-    dist_m: str = "dist_meters"
-    wait_s: str = "wait_sec"
-
-    def required(self) -> tuple[str, ...]:
-        return (
-            self.pickup_lat,
-            self.pickup_lon,
-            self.dropoff_lat,
-            self.dropoff_lon,
-            self.pickup_time,
-            self.duration_s,
-            self.dist_m,
-            self.wait_s,
-        )
+# Trip log header: pickup and dropoff in degrees, the pickup time, the
+# duration and the wait in seconds, and the recorded distance in meters.
+_COLUMNS = (
+    "pickup_latitude",
+    "pickup_longitude",
+    "dropoff_latitude",
+    "dropoff_longitude",
+    "pickup_datetime",
+    "trip_duration",
+    "dist_meters",
+    "wait_sec",
+)
 
 
-@dataclass(frozen=True)
-class TaxiFilters:
-    """Row-cleaning thresholds; defaults match the standard study cuts."""
-
-    max_wait_min: float = 90.0
-    max_duration_min: float = 180.0
-    max_distance_km: float = 100.0
-    min_pickup_lat: float = 19.0
-    max_pickup_lat: float = 20.0
-    max_pickup_lon: float = -98.0
-
-    def keeps(self, trip: TripRecord) -> bool:
-        return (
-            trip.wait_min <= self.max_wait_min
-            and trip.duration_min <= self.max_duration_min
-            and trip.recorded_km <= self.max_distance_km
-            and self.min_pickup_lat <= trip.pickup.lat <= self.max_pickup_lat
-            and trip.pickup.lon < self.max_pickup_lon
-        )
+def _keeps(trip: TripRecord) -> bool:
+    """The study's cleaning cuts: waits up to 90 min, trips up to 180 min
+    and 100 km, pickups in the 19-20 N band west of 98 W."""
+    return (
+        trip.wait_min <= 90.0
+        and trip.duration_min <= 180.0
+        and trip.recorded_km <= 100.0
+        and 19.0 <= trip.pickup.lat <= 20.0
+        and trip.pickup.lon < -98.0
+    )
 
 
 @dataclass(frozen=True)
@@ -259,23 +239,17 @@ class TaxiLoadResult:
     malformed: int
 
 
-def load_taxi_csv(
-    text: str,
-    filters: TaxiFilters | None = None,
-    columns: TaxiColumns | None = None,
-) -> TaxiLoadResult:
+def load_taxi_csv(text: str) -> TaxiLoadResult:
     """Read trip rows, drop filtered ones, and sort by pickup time.
 
     Malformed rows are skipped and counted; a missing column is a hard
     error.  The returned order (timestamp, then original row order) is
     the reveal order for dynamic scenarios.
     """
-    filters = filters or TaxiFilters()
-    columns = columns or TaxiColumns()
     reader = csv.DictReader(_stdio.StringIO(text))
     if reader.fieldnames is None:
         raise ParseError("empty CSV input")
-    missing = [c for c in columns.required() if c not in reader.fieldnames]
+    missing = [c for c in _COLUMNS if c not in reader.fieldnames]
     if missing:
         raise ParseError(f"missing columns: {', '.join(missing)}")
     kept: list[tuple[datetime, int, TripRecord]] = []
@@ -283,24 +257,21 @@ def load_taxi_csv(
     for row_idx, row in enumerate(reader):
         total += 1
         try:
+            plat, plon, dlat, dlon, when, duration_s, dist_m, wait_s = (
+                row[c] for c in _COLUMNS
+            )
             trip = TripRecord(
-                pickup=GeoPoint(
-                    lat=float(row[columns.pickup_lat]),
-                    lon=float(row[columns.pickup_lon]),
-                ),
-                dropoff=GeoPoint(
-                    lat=float(row[columns.dropoff_lat]),
-                    lon=float(row[columns.dropoff_lon]),
-                ),
-                recorded_km=float(row[columns.dist_m]) / 1000.0,
-                duration_min=float(row[columns.duration_s]) / 60.0,
-                wait_min=float(row[columns.wait_s]) / 60.0,
-                timestamp=datetime.fromisoformat(row[columns.pickup_time]),
+                pickup=GeoPoint(lat=float(plat), lon=float(plon)),
+                dropoff=GeoPoint(lat=float(dlat), lon=float(dlon)),
+                recorded_km=float(dist_m) / 1000.0,
+                duration_min=float(duration_s) / 60.0,
+                wait_min=float(wait_s) / 60.0,
+                timestamp=datetime.fromisoformat(when),
             )
         except (BdmtspError, TypeError, ValueError):
             malformed += 1
             continue
-        if filters.keeps(trip):
+        if _keeps(trip):
             kept.append((trip.timestamp, row_idx, trip))
         else:
             dropped += 1
@@ -353,7 +324,7 @@ def trips_to_instance(
         )
     np.fill_diagonal(dist, 0.0)
     internal = float(sum(t.recorded_km for t in trips))
-    instance = RoutingInstance(name="taxi", metric=HAVERSINE, dist=dist)
+    instance = RoutingInstance(name="taxi", dist=dist)
     return instance, internal
 
 

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import EXPLICIT, BdmtspError, ParseError, RoutingInstance
+from .core import BdmtspError, ParseError, RoutingInstance
 
 __all__ = [
     "AisleSpec",
@@ -211,7 +211,7 @@ def jobs_to_instance(
         row[j] = 0.0
         mat[j] = row
 
-    instance = RoutingInstance(name=f"warehouse-{len(jobs)}jobs", metric=EXPLICIT, dist=mat)
+    instance = RoutingInstance(name=f"warehouse-{len(jobs)}jobs", dist=mat)
     internal_total = float(sum(job.internal_len for job in jobs))
     return instance, internal_total
 

@@ -16,4 +16,4 @@ def data_dir() -> pathlib.Path:
 def uniform_instance(n: int, seed: int, name: str = "test") -> RoutingInstance:
     """Ad-hoc uniform instance for tests that do not exercise the harness."""
     rng = np.random.default_rng(seed)
-    return RoutingInstance(name=name, metric="euclid2d", coords=rng.random((n, 2)))
+    return RoutingInstance(name=name, coords=rng.random((n, 2)))

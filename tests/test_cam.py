@@ -12,9 +12,9 @@ from bdmtsp.cam import (
     PUBLISHED_3F,
     PUBLISHED_9F,
     PUBLISHED_16F,
+    TERMS,
     CamModel,
     Configuration,
-    FeatureMap,
     SweepResult,
     backward_select,
     feature_matrix,
@@ -73,28 +73,20 @@ TABLE_16F = (
 
 class TestFeatureMap:
     def test_default_has_64_terms_in_odometer_order(self):
-        fm = FeatureMap.default()
-        assert len(fm.terms) == 64
-        assert fm.terms[0] == (0.0, 0.0, 0.0)
-        assert fm.terms[1] == (0.0, 0.0, 0.5)
-        assert fm.terms[4] == (0.0, 0.5, 0.0)
-        assert fm.terms[16] == (0.5, 0.0, 0.0)
-        assert fm.terms[63] == (2.0, 2.0, 2.0)
-        assert len(set(fm.terms)) == 64
-
-    def test_labels(self):
-        fm = FeatureMap.default()
-        assert fm.label((0.0, 0.0, 0.0)) == "1"
-        assert fm.label((0.5, 1.0, 2.0)) == "sqrt(m)*n*d^2"
-        assert fm.label((0.0, 1.0, 0.0)) == "n"
+        assert len(TERMS) == 64
+        assert TERMS[0] == (0.0, 0.0, 0.0)
+        assert TERMS[1] == (0.0, 0.0, 0.5)
+        assert TERMS[4] == (0.0, 0.5, 0.0)
+        assert TERMS[16] == (0.5, 0.0, 0.0)
+        assert TERMS[63] == (2.0, 2.0, 2.0)
+        assert len(set(TERMS)) == 64
 
     def test_matrix_values(self):
-        fm = FeatureMap.default()
-        X = feature_matrix([Configuration(2, 3, 4)], fm)
+        X = feature_matrix([Configuration(2, 3, 4)])
         assert X.shape == (1, 64)
         assert X[0, 0] == 1.0  # 0^0 convention on every base
         assert X[0, 63] == pytest.approx(4.0 * 9.0 * 16.0)
-        j = fm.terms.index((0.5, 1.0, 0.5))
+        j = TERMS.index((0.5, 1.0, 0.5))
         assert X[0, j] == pytest.approx(math.sqrt(2) * 3 * 2)
 
     def test_matrix_rejects_empty(self):
@@ -285,9 +277,8 @@ class TestPublishedModels:
 
 class TestStepModel:
     def test_maps_indices_to_power_triples(self):
-        fm = FeatureMap.default()
         rng = np.random.default_rng(5)
-        X = feature_matrix(sweep_configs()[:40], fm)
+        X = feature_matrix(sweep_configs()[:40])
         y = rng.uniform(5.0, 50.0, size=40)
         cols = [0, 5, 21]
         b = fit_ols(X[:, cols], y)
@@ -299,11 +290,11 @@ class TestStepModel:
             sse=1.0,
             stats={"rmse_std": 1.0},
         )
-        model = step_model(step, fm)
+        model = step_model(step)
         assert model.provenance == "fitted"
-        assert [t for t, _ in model.terms] == [fm.terms[c] for c in cols]
+        assert [t for t, _ in model.terms] == [TERMS[c] for c in cols]
         cfg = Configuration(2, 60, 7)
-        direct = sum(c * v for c, v in zip(b, feature_matrix([cfg], fm)[0, cols]))
+        direct = sum(c * v for c, v in zip(b, feature_matrix([cfg])[0, cols]))
         assert predict(model, cfg) == pytest.approx(direct, rel=1e-12)
 
 
@@ -331,7 +322,7 @@ class TestPersistence:
         X = rng.uniform(1.0, 2.0, size=(30, 4))
         y = rng.uniform(1.0, 5.0, size=30)
         steps = backward_select(X, y)
-        model = step_model(steps[2], FeatureMap.default())
+        model = step_model(steps[2])
         assert model_from_json(model_to_json(model)) == model
 
     def test_model_json_rejects_garbage(self):
@@ -376,3 +367,49 @@ class TestCamModelValidation:
             CamModel(terms=(((1.0, 2.0), 3.0),), provenance="fitted")
         with pytest.raises(BdmtspError):
             CamModel(terms=(((1.0, 1.0, 1.0), math.inf),), provenance="fitted")
+
+    def test_rejects_empty_and_off_basis_terms(self):
+        with pytest.raises(BdmtspError, match="at least one term"):
+            CamModel(terms=(), provenance="fitted")
+        for powers in ((math.nan, 1.0, 0.0), (1e308, 1.0, 0.0), (3.0, 0.0, 0.0)):
+            with pytest.raises(BdmtspError, match="basis triple"):
+                CamModel(terms=((powers, 1.0),), provenance="fitted")
+
+    def test_published_models_use_the_basis(self):
+        for model in published_models().values():
+            assert all(term in TERMS for term, _ in model.terms)
+
+
+class TestOverflow:
+    def test_feature_matrix_raises(self):
+        with pytest.raises(BdmtspError, match="overflow"):
+            feature_matrix([Configuration(1, 50, 5), Configuration(1, 10**400, 5)])
+        with pytest.raises(BdmtspError, match="overflow"):
+            feature_matrix([Configuration(10**100, 10**60, 5)])  # m^2 * n^2 is inf
+
+    def test_predict_raises(self):
+        with pytest.raises(BdmtspError, match="overflow"):
+            predict(PUBLISHED_16F, Configuration(10**200, 100, 15))
+        with pytest.raises(BdmtspError, match="overflow"):
+            predict(PUBLISHED_9F, Configuration(3, 10**400, 15))
+
+    def test_negative_component_rejected(self):
+        # a half power of a negative base is complex
+        with pytest.raises(BdmtspError, match="nonnegative"):
+            predict(PUBLISHED_9F, (-3, 100, 15))
+        with pytest.raises(BdmtspError, match="nonnegative"):
+            feature_matrix([(3, 100, -15)])
+
+    def test_feature_columns_equal_the_literal_products(self):
+        # the product order m-power * n-power * d-power is part of the
+        # bit-exact contract of fitted models
+        configs = sweep_configs()[::7]
+        X = feature_matrix(configs)
+        for row, c in zip(X, configs):
+            expect = [
+                (1.0 if p1 == 0 else float(c.m) ** p1)
+                * (1.0 if p2 == 0 else float(c.n) ** p2)
+                * (1.0 if p3 == 0 else float(c.d) ** p3)
+                for p1, p2, p3 in TERMS
+            ]
+            assert row.tolist() == expect

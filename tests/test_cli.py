@@ -99,6 +99,45 @@ class TestSolve:
         rc = cli.main(["solve", "nope.tsp", "--m", "2", "--scope", "absolute:1"])
         assert rc == 2
 
+    def test_huge_dimension_exits_2(self, tmp_path, capsys):
+        # the rows are counted before the coordinate array is allocated
+        path = tmp_path / "huge.tsp"
+        path.write_text(TINY.replace("DIMENSION : 5", "DIMENSION : 100000000000000"))
+        rc = cli.main(["solve", str(path), "--m", "1", "--scope", "absolute:1"])
+        assert rc == 2
+        assert "coordinate rows" in capsys.readouterr().err
+
+    def test_directory_input_exits_2(self, tmp_path, capsys):
+        rc = cli.main(["solve", str(tmp_path), "--m", "1", "--scope", "absolute:1"])
+        assert rc == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_directory_out_exits_2(self, tiny_instance, tmp_path, capsys):
+        rc = cli.main(["solve", str(tiny_instance), "--m", "1", "--scope", "absolute:1",
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "{bad}", "--m", "1", "--scope", "absolute:1"],
+        ["cam-fit", "--sweep", "{bad}"],
+        ["cam-predict", "--model", "{bad}", "3", "100", "15"],
+        ["warehouse", "--layout", "{bad}", "--jobs", "{bad}", "--depot", "a",
+         "--m", "1", "--scope", "absolute:1"],
+        ["taxi", "--csv", "{bad}", "--m", "1", "--scope", "absolute:1"],
+    ],
+)
+def test_non_utf8_input_exits_2(tmp_path, args, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("NAME : café\n".encode("latin-1"))
+    rc = cli.main([a.replace("{bad}", str(bad)) for a in args])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "latin1.txt" in err and "UTF-8" in err
+
 
 class TestSweep:
     def test_writes_loadable_csv(self, tmp_path, capsys):
@@ -197,6 +236,36 @@ class TestCamCommands:
         assert exc.value.code == 2
         assert "--model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "terms,reason",
+        [
+            ([{"powers": ["nan", 1, 0], "coef": 1.0}], "basis triple"),
+            ([], "at least one term"),
+            ([{"powers": [1e308, 1, 0], "coef": 1.0}], "basis triple"),
+        ],
+    )
+    def test_predict_rejects_bad_model_terms(self, tmp_path, terms, reason, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"terms": terms}))
+        rc = cli.main(["cam-predict", "--model", str(path), "3", "100", "15"])
+        assert rc == 2
+        assert reason in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "model,mnd", [("9f", ["3", str(10**400), "15"]), ("16f", [str(10**200), "100", "15"])]
+    )
+    def test_predict_overflow_exits_2(self, model, mnd, capsys):
+        rc = cli.main(["cam-predict", "--published", model, *mnd])
+        assert rc == 2
+        assert "overflow" in capsys.readouterr().err
+
+    def test_fit_overflow_exits_2(self, tmp_path, capsys):
+        sweep_csv = tmp_path / "sweep.csv"
+        sweep_csv.write_text(f"m,n,d,mean_len,reps,seed\n1,{10**400},5,2.5,1,0\n")
+        rc = cli.main(["cam-fit", "--sweep", str(sweep_csv)])
+        assert rc == 2
+        assert "overflow" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mnd", [["9", "-3", "100"], ["0", "100", "15"], ["3", "100", "0"]])
     def test_predict_rejects_nonpositive_configuration(self, mnd, capsys):
         rc = cli.main(["cam-predict", "--published", "9f", *mnd])
@@ -258,6 +327,13 @@ class TestReproduceCommand:
         assert rc == 0
         assert out.count("gate [pass]") == 4
         assert "gate [FAIL]" not in out
+
+    def test_non_utf8_instance_file_exits_2(self, data_dir, tmp_path, capsys):
+        text = (data_dir / "eil51.tsp").read_text().replace("NAME : eil51", "NAME : café")
+        (tmp_path / "eil51.tsp").write_bytes(text.encode("latin-1"))
+        rc = cli.main(["reproduce", "--table", "set2-absolute", "--data", str(tmp_path)])
+        assert rc == 2
+        assert "UTF-8" in capsys.readouterr().err
 
     def test_missing_data_dir_fails(self, tmp_path, capsys):
         rc = cli.main(["reproduce", "--table", "set2-absolute",

@@ -1,0 +1,32 @@
+"""The documented callers keep running: the README quick start and the
+warehouse demo script, so a signature change cannot silently break them."""
+
+import os
+import pathlib
+import re
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_readme_quick_start_runs(capsys):
+    section = (ROOT / "README.md").read_text().split("## Quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md quick start", "exec"), {})
+    total, sizes = capsys.readouterr().out.split(" ", 1)
+    assert float(total) > 0
+    assert sizes.strip() == "[11, 11, 11]"  # depot plus ceil(30 / 3) stops each
+
+
+def test_warehouse_demo_script_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "warehouse_demo.py")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "drift" in done.stdout

@@ -17,7 +17,8 @@ from bdmtsp.harness import (
     reproduce_table,
     run_sweep,
 )
-from bdmtsp.solvers import bd_avh
+from bdmtsp.io import parse_tsplib
+from bdmtsp.solvers import ALGORITHMS, bd_avh, bd_cvh
 
 
 class TestGenUniform:
@@ -191,3 +192,25 @@ class TestReproduceTable:
         full = [r for r in report.rows if r.scope.value == 1.00]
         for row in full:
             assert min(abs(row.rel_err_open), abs(row.rel_err_closed)) <= 0.02
+
+    @pytest.mark.parametrize("table", ["set1-relative", "set2-absolute"])
+    def test_one_solve_per_cell_gives_the_closed_solve_total(
+        self, table, data_dir, monkeypatch
+    ):
+        calls = []
+        for name, solver in (("avh", bd_avh), ("cvh", bd_cvh)):
+
+            def counted(*args, _solver=solver, **kwargs):
+                calls.append(kwargs.get("closed", False))
+                return _solver(*args, **kwargs)
+
+            monkeypatch.setitem(ALGORITHMS, name, counted)
+        report = reproduce_table(table, data_dir)
+        monkeypatch.undo()
+        assert calls == [False] * len(report.rows)
+        for row in report.rows:
+            inst = parse_tsplib((data_dir / row.instance).read_text())
+            schedule = build_schedule(row.scope, inst, row.m)
+            solver = {"avh": bd_avh, "cvh": bd_cvh}[row.algorithm]
+            closed = solver(inst, Fleet(m=row.m), schedule, closed=True)
+            assert row.computed_closed == closed.total  # bit-equal

@@ -8,11 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdmtsp.core import EUCLID2D, EXPLICIT, HAVERSINE, BdmtspError, ParseError
+from bdmtsp.core import BdmtspError, ParseError
 from bdmtsp.geometry import EARTH_RADIUS_KM, GeoPoint, TripRecord, haversine
 from bdmtsp.io import (
-    TaxiColumns,
-    TaxiFilters,
     dump_tsplib,
     load_taxi_csv,
     parse_tsplib,
@@ -45,24 +43,29 @@ class TestParseTsplib:
     def test_euc2d_fixture(self):
         inst = parse_tsplib(EUC3)
         assert inst.name == "tiny"
-        assert inst.metric == EUCLID2D
+        assert inst.dist is None
         assert inst.n == 3
         assert np.array_equal(inst.coords, [[0, 0], [3, 4], [6, 8]])
         assert inst.distance(0, 1) == 5.0
 
     def test_explicit_full_matrix_round_trips(self):
         inst = parse_tsplib(FULL3)
-        assert inst.metric == EXPLICIT
+        assert inst.coords is None
         assert inst.distance(0, 1) == 1.5  # real-valued entries survive
         again = parse_tsplib(dump_tsplib(inst))
         assert np.array_equal(again.full_matrix(), inst.full_matrix())
+
+    def test_huge_dimension_checked_before_allocation(self):
+        text = EUC3.replace("DIMENSION : 3", "DIMENSION : 100000000000000")
+        with pytest.raises(ParseError, match="expected 100000000000000 coordinate rows"):
+            parse_tsplib(text)
 
     def test_euc2d_dump_round_trips_exactly(self):
         rng = np.random.default_rng(6)
         coords = rng.uniform(0, 1000, size=(9, 2))
         from bdmtsp.core import RoutingInstance
 
-        inst = RoutingInstance(name="rt", metric=EUCLID2D, coords=coords)
+        inst = RoutingInstance(name="rt", coords=coords)
         again = parse_tsplib(dump_tsplib(inst))
         assert np.array_equal(again.coords, coords)
         third = parse_tsplib(dump_tsplib(again))
@@ -245,17 +248,11 @@ class TestLoadTaxiCsv:
             for i in range(8)
         ]
         result = load_taxi_csv(TAXI_HEADER + "\n" + "\n".join(rows))
-        filters = TaxiFilters()
-        assert all(filters.keeps(trip) for trip in result.trips)
+        for trip in result.trips:
+            assert trip.wait_min <= 90 and trip.duration_min <= 180
+            assert trip.recorded_km <= 100
+            assert 19 <= trip.pickup.lat <= 20 and trip.pickup.lon < -98
         assert result.kept + result.dropped + result.malformed == result.total_rows
-
-    def test_custom_columns(self):
-        cols = TaxiColumns(pickup_time="t", pickup_lat="a", pickup_lon="b",
-                           dropoff_lat="c", dropoff_lon="d", duration_s="e",
-                           dist_m="f", wait_s="g")
-        text = "t,a,b,c,d,e,f,g\n2016-01-02 03:04:05,19.5,-99.0,19.6,-99.1,60,1000,0\n"
-        result = load_taxi_csv(text, columns=cols)
-        assert result.kept == 1
 
 
 def _trip(plat, plon, dlat, dlon, km=1.0):
@@ -298,7 +295,7 @@ class TestTripsToInstance:
         ]
         inst, internal = trips_to_instance(trips, self.DEPOT)
         assert inst.n == 4
-        assert inst.metric == HAVERSINE
+        assert inst.coords is None
         assert internal == pytest.approx(12.5)
         for k, trip in enumerate(trips, start=1):
             assert inst.distance(0, k) == haversine(self.DEPOT, trip.pickup)

@@ -21,7 +21,7 @@ from conftest import uniform_instance
 
 
 def _explicit(matrix, depot=0, name="fixture"):
-    return RoutingInstance(name=name, metric="explicit", dist=np.array(matrix, float), depot=depot)
+    return RoutingInstance(name=name, dist=np.array(matrix, float), depot=depot)
 
 
 # Hand-simulated 6-node fixture, m=2, visibility 2, budget ceil(5/2)=3.
@@ -167,7 +167,7 @@ def test_capacity_blocking_extends_sequential_run():
     # three steps; the idle fourth then needs two extra steps beyond the
     # nominal schedule, which a sequential scope must allow.
     coords = [[0.0, 0.0]] + [[1.0, 0.01 * k] for k in range(1, 12)]
-    inst = RoutingInstance(name="cluster", metric="euclid2d", coords=np.array(coords))
+    inst = RoutingInstance(name="cluster", coords=np.array(coords))
     sched = build_schedule(DynamicsScope.absolute(3), inst, m=4)
     steps = []
     out = bd_cvh(inst, Fleet(m=4), sched, on_step=steps.append)
