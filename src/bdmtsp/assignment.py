@@ -6,6 +6,11 @@ when m > d.  The solver is a shortest-augmenting-path method with dual
 potentials.  Ties are broken deterministically by scanning columns in
 ascending index order with strict comparisons, so on a single-column
 matrix the lowest-indexed minimal row wins; callers rely on that.
+
+The loop (D. F. Crouse, IEEE TAES 2016) runs on Python lists, not numpy
+scalars, and evaluates every reduced cost as
+``min_val + c[i][j] - u[i] - v[j]`` in that order: the same IEEE double
+operations give the same pairs and the same cost bits.
 """
 
 from __future__ import annotations
@@ -37,50 +42,53 @@ def _prepare(cost) -> np.ndarray:
     return c
 
 
-def _augmenting_paths(c: np.ndarray) -> np.ndarray:
-    # Requires nr <= nc.  Returns col4row.
-    nr, nc = c.shape
-    u = np.zeros(nr)
-    v = np.zeros(nc)
-    col4row = np.full(nr, -1, dtype=np.intp)
-    row4col = np.full(nc, -1, dtype=np.intp)
+def _augmenting_paths(c: list[list[float]]) -> list[int]:
+    # Requires len(c) <= len(c[0]).  Returns col4row.
+    nr, nc = len(c), len(c[0])
+    inf = math.inf
+    u = [0.0] * nr
+    v = [0.0] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
 
     for cur_row in range(nr):
-        shortest = np.full(nc, np.inf)
-        path = np.full(nc, -1, dtype=np.intp)
-        on_row_tree = np.zeros(nr, dtype=bool)
-        done_col = np.zeros(nc, dtype=bool)
+        shortest = [inf] * nc
+        path = [-1] * nc
+        tree_rows = []  # rows reached by this search, in visit order
+        done_cols = []  # columns settled by this search, in settle order
         remaining = list(range(nc))
         min_val = 0.0
         i = cur_row
         sink = -1
         while sink == -1:
-            on_row_tree[i] = True
-            lowest = np.inf
+            tree_rows.append(i)
+            lowest = inf
             index = -1
+            row = c[i]
+            ui = u[i]
             for it, j in enumerate(remaining):
-                r = min_val + c[i, j] - u[i] - v[j]
-                if r < shortest[j]:
-                    shortest[j] = r
+                r = min_val + row[j] - ui - v[j]
+                s = shortest[j]
+                if r < s:
+                    shortest[j] = s = r
                     path[j] = i
-                if shortest[j] < lowest:
-                    lowest = shortest[j]
+                if s < lowest:
+                    lowest = s
                     index = it
             min_val = lowest
             j = remaining.pop(index)
-            done_col[j] = True
+            done_cols.append(j)
             if row4col[j] == -1:
                 sink = j
             else:
                 i = row4col[j]
 
+        # Each dual changes once, so the update order does not matter.
         u[cur_row] += min_val
-        for ip in range(nr):
-            if on_row_tree[ip] and ip != cur_row:
-                u[ip] += min_val - shortest[col4row[ip]]
-        for jp in range(nc):
-            if done_col[jp]:
-                v[jp] -= min_val - shortest[jp]
+        for ip in tree_rows[1:]:
+            u[ip] += min_val - shortest[col4row[ip]]
+        for jp in done_cols:
+            v[jp] -= min_val - shortest[jp]
 
         j = sink
         while True:
@@ -96,12 +104,13 @@ def solve_assignment(cost) -> Assignment:
     """Minimum-cost matching of cardinality min(rows, cols)."""
     c = _prepare(cost)
     nr, nc = c.shape
+    rows = c.tolist()
     if nr <= nc:
-        col4row = _augmenting_paths(c)
-        pairs = tuple((r, int(col4row[r])) for r in range(nr))
+        col4row = _augmenting_paths(rows)
+        pairs = tuple(enumerate(col4row))
     else:
-        col4row = _augmenting_paths(c.T)
-        pairs = tuple(sorted((int(col4row[r]), r) for r in range(nc)))
+        col4row = _augmenting_paths(c.T.tolist())
+        pairs = tuple(sorted((r, j) for j, r in enumerate(col4row)))
     # fsum: exactly rounded, so equal matchings report bit-equal costs.
-    total = math.fsum(c[r, col] for r, col in pairs)
+    total = math.fsum(rows[r][col] for r, col in pairs)
     return Assignment(pairs=pairs, cost=total)

@@ -173,6 +173,37 @@ def _subset_sse(Xn: np.ndarray, y: np.ndarray, cols: list[int]) -> float:
     return float(r @ r)
 
 
+# Candidate scoring from one QR per stage.  Rounding moves a score, and
+# the refit SSE it stands for, by about eps * cond(R) of the stage's SSE:
+# 7e-9 on the paper grid (cond 3.1e7; 2e-12 measured), and at most
+# 2.2e-8 below _COND_LIMIT, 45 times under _REFIT_BAND.  Stages above
+# the limit (rank-deficient designs reach 1e32) refit every candidate.
+# So do fits whose SSE is under _NEAR_EXACT * y.y: their scores are
+# rounding noise of about (eps * cond)**2 * y.y, which a band relative
+# to the SSE cannot cover.
+_COND_LIMIT = 1e8
+_REFIT_BAND = 1e-6
+_NEAR_EXACT = 1e-7
+
+
+def _drop_scores(Xn: np.ndarray, y: np.ndarray, cols: list[int]) -> np.ndarray | None:
+    """SSE increase from dropping each of ``cols``, or None when ill-conditioned.
+
+    Partial-F identity: dropping column j from the least-squares fit on
+    ``cols`` raises the SSE by b_j**2 / [(X^T X)^-1]_jj.  One QR of
+    [X y] gives R, Q^T y, b = R^-1 Q^T y and the diagonal as row norms
+    of R^-1.
+    """
+    k = len(cols)
+    r = np.linalg.qr(np.column_stack((Xn[:, cols], y)), mode="r")
+    rk = r[:k, :k]
+    if not np.linalg.cond(rk) <= _COND_LIMIT:  # also catches nan
+        return None
+    rinv = np.linalg.inv(rk)
+    b = rinv @ r[:k, k]
+    return b * b / np.einsum("ij,ij->i", rinv, rinv)
+
+
 def backward_select(X, y) -> list[SelectionStep]:
     """Backward stepwise selection down to a single feature.
 
@@ -181,6 +212,16 @@ def backward_select(X, y) -> list[SelectionStep]:
     feature count, ascending.  Candidate scoring runs on column-scaled
     copies for conditioning; recorded coefficients come from fit_ols on
     the original columns.
+
+    Each stage scores every candidate from one QR factorisation
+    (``_drop_scores``).  Only the candidates whose score lies within
+    ``_REFIT_BAND`` of the stage's SSE from the best are refitted with
+    ``lstsq``, and the lowest refitted SSE wins as above; a lone
+    candidate in the band is dropped without a refit.  A stage whose R
+    is ill-conditioned (cond above ``_COND_LIMIT``), or whose fit is
+    near exact, refits every candidate.  The refits are the same
+    ``lstsq`` calls on the same columns an all-candidates loop makes,
+    so the selected subsets are those of refitting every candidate.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -194,6 +235,7 @@ def backward_select(X, y) -> list[SelectionStep]:
     norms = np.linalg.norm(X, axis=0)
     norms[norms == 0] = 1.0
     Xn = X / norms
+    yy = float(y @ y)
 
     def record(cols: list[int]) -> SelectionStep:
         b = fit_ols(X[:, cols], y)
@@ -208,15 +250,22 @@ def backward_select(X, y) -> list[SelectionStep]:
     current = list(range(p_full))
     steps = [record(current)]
     while len(current) > 1:
-        best_cols = None
-        best_sse = math.inf
-        for drop in current:
-            trial = [c for c in current if c != drop]
-            sse = _subset_sse(Xn, y, trial)
-            if sse < best_sse:
-                best_sse = sse
-                best_cols = trial
-        current = best_cols
+        sse = steps[-1].sse
+        scores = _drop_scores(Xn, y, current) if sse > _NEAR_EXACT * yy else None
+        if scores is None:
+            candidates = current
+        else:
+            near = scores <= scores.min() + _REFIT_BAND * sse
+            candidates = [c for c, keep in zip(current, near) if keep]
+        drop = candidates[0]
+        if len(candidates) > 1:
+            best_sse = math.inf
+            for c in candidates:
+                trial_sse = _subset_sse(Xn, y, [k for k in current if k != c])
+                if trial_sse < best_sse:
+                    best_sse = trial_sse
+                    drop = c
+        current = [c for c in current if c != drop]
         steps.append(record(current))
     steps.reverse()
     return steps

@@ -138,6 +138,11 @@ def _euclid_matrix(coords: np.ndarray) -> np.ndarray:
 _SCOPE_KINDS = ("absolute", "m_absolute", "relative", "m_relative", "variable")
 
 
+def _is_count(v) -> bool:
+    """True for an int >= 1 that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
 @dataclass(frozen=True)
 class DynamicsScope:
     """How many customers are visible per decision step.
@@ -155,16 +160,16 @@ class DynamicsScope:
             raise ScopeError(f"unknown scope kind {self.kind!r}")
         v = self.value
         if self.kind == "absolute":
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            if not _is_count(v):
                 raise ScopeError("absolute scope must be an integer >= 1")
         elif self.kind == "variable":
             if not isinstance(v, tuple):
                 object.__setattr__(self, "value", tuple(v))
                 v = self.value
-            if not v or any(not isinstance(k, int) or k < 1 for k in v):
+            if not v or not all(map(_is_count, v)):
                 raise ScopeError("variable scope needs integer counts >= 1")
         else:
-            if not isinstance(v, (int, float)) or v <= 0:
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
                 raise ScopeError(f"{self.kind} scope must be a positive int or float")
             if isinstance(v, float) and not math.isfinite(v):
                 raise ScopeError(f"{self.kind} scope must be finite")
@@ -204,10 +209,10 @@ class Fleet:
     capacity: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 1:
+        if not _is_count(self.m):
             raise BdmtspError("fleet size must be an integer >= 1")
-        if self.capacity is not None and self.capacity < 1:
-            raise BdmtspError("capacity must be >= 1 when given")
+        if self.capacity is not None and not _is_count(self.capacity):
+            raise BdmtspError("capacity must be an integer >= 1 when given")
 
     def capacity_for(self, n: int) -> int:
         if self.capacity is not None:

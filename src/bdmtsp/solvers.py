@@ -11,6 +11,7 @@ the stop budget stop accepting work, which keeps route sizes balanced.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -165,13 +166,25 @@ def route_lengths(
     for route in routes:
         if not route:
             raise InfeasibleError("route must contain at least its start node")
-        length = 0.0
-        for a, b in zip(route, route[1:]):
-            length += instance.distance(a, b)
-        if closed and len(route) > 1:
-            length += instance.distance(route[-1], route[0])
-        lengths.append(length)
+        walk = list(route)
+        if closed and len(walk) > 1:
+            walk.append(walk[0])
+        lengths.append(_walk_length(instance, walk))
     return tuple(lengths), float(sum(lengths))
+
+
+def _walk_length(instance: RoutingInstance, walk: list[int]) -> float:
+    # One fancy index per walk, then the legs summed left to right on
+    # Python floats: the same values instance.distance gives per leg.
+    length = 0.0
+    if instance.dist is not None:
+        for leg in instance.dist[walk[:-1], walk[1:]].tolist():
+            length += leg
+    else:
+        points = instance.coords[walk].tolist()
+        for (xa, ya), (xb, yb) in zip(points, points[1:]):
+            length += math.hypot(xa - xb, ya - yb)
+    return length
 
 
 def relative_difference(l_assignment: float, l_closest: float) -> float:

@@ -2,9 +2,12 @@
 
 Everything here is written from scratch with plain Python loops and a
 different algorithmic route than the package, so an implementation bug
-cannot hide behind a shared helper.  The one exception is
-``dijkstra_by_id``: it keeps the string-keyed Dijkstra the warehouse
-module once used, as the exact oracle for its tie-breaking.
+cannot hide behind a shared helper.  The exceptions are bit-exact
+oracles that keep an earlier form of package code: ``dijkstra_by_id``
+(the string-keyed Dijkstra the warehouse module once used, for its
+tie-breaking), ``numpy_assignment`` (the assignment loop on numpy
+scalars) and ``refit_selection`` (backward selection refitting every
+candidate).
 """
 
 from __future__ import annotations
@@ -217,6 +220,85 @@ def brute_force_assignment(cost) -> Assignment:
     )
 
 
+def numpy_augmenting_paths(c: np.ndarray) -> np.ndarray:
+    """Shortest-augmenting-path assignment on numpy scalars (requires rows <= cols).
+
+    The loop the package ran before it moved to Python lists: same float
+    expressions in the same order, same strict comparisons and column
+    scan order, so its pairs and duals are the bit-exact oracle for
+    ``bdmtsp.assignment``.  Returns col4row.
+    """
+    nr, nc = c.shape
+    u = np.zeros(nr)
+    v = np.zeros(nc)
+    col4row = np.full(nr, -1, dtype=np.intp)
+    row4col = np.full(nc, -1, dtype=np.intp)
+
+    for cur_row in range(nr):
+        shortest = np.full(nc, np.inf)
+        path = np.full(nc, -1, dtype=np.intp)
+        on_row_tree = np.zeros(nr, dtype=bool)
+        done_col = np.zeros(nc, dtype=bool)
+        remaining = list(range(nc))
+        min_val = 0.0
+        i = cur_row
+        sink = -1
+        while sink == -1:
+            on_row_tree[i] = True
+            lowest = np.inf
+            index = -1
+            for it, j in enumerate(remaining):
+                r = min_val + c[i, j] - u[i] - v[j]
+                if r < shortest[j]:
+                    shortest[j] = r
+                    path[j] = i
+                if shortest[j] < lowest:
+                    lowest = shortest[j]
+                    index = it
+            min_val = lowest
+            j = remaining.pop(index)
+            done_col[j] = True
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+
+        u[cur_row] += min_val
+        for ip in range(nr):
+            if on_row_tree[ip] and ip != cur_row:
+                u[ip] += min_val - shortest[col4row[ip]]
+        for jp in range(nc):
+            if done_col[jp]:
+                v[jp] -= min_val - shortest[jp]
+
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return col4row
+
+
+def numpy_assignment(cost) -> Assignment:
+    """``solve_assignment`` as it ran on numpy scalars (the list loop's oracle)."""
+    c = np.asarray(cost, dtype=float)
+    if c.ndim != 2 or c.size == 0:
+        raise BdmtspError("cost matrix must be 2D and nonempty")
+    if not np.isfinite(c).all():
+        raise BdmtspError("cost entries must be finite")
+    nr, nc = c.shape
+    if nr <= nc:
+        col4row = numpy_augmenting_paths(c)
+        pairs = tuple((r, int(col4row[r])) for r in range(nr))
+    else:
+        col4row = numpy_augmenting_paths(c.T)
+        pairs = tuple(sorted((int(col4row[r]), r) for r in range(nc)))
+    total = math.fsum(c[r, col] for r, col in pairs)
+    return Assignment(pairs=pairs, cost=total)
+
+
 def nominal_step_counts(targets, m, n):
     """Visible counts of a variable schedule under nominal service.
 
@@ -237,3 +319,36 @@ def nominal_step_counts(targets, m, n):
         remaining -= min(m, visible)
         step += 1
     return tuple(counts)
+
+
+def refit_selection(X, y) -> list[tuple[int, ...]]:
+    """Backward-selection subsets from refitting every candidate at every stage.
+
+    The loop ``bdmtsp.cam.backward_select`` ran before it scored
+    candidates from one QR per stage: same column scaling, one
+    ``lstsq`` refit per candidate, strict ``<`` in column order.
+    Returns the retained columns per stage, ascending in size.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    norms = np.linalg.norm(X, axis=0)
+    norms[norms == 0] = 1.0
+    Xn = X / norms
+
+    current = list(range(X.shape[1]))
+    subsets = [tuple(current)]
+    while len(current) > 1:
+        best_cols = None
+        best_sse = math.inf
+        for drop in current:
+            trial = [c for c in current if c != drop]
+            b, *_ = np.linalg.lstsq(Xn[:, trial], y, rcond=None)
+            r = y - Xn[:, trial] @ b
+            sse = float(r @ r)
+            if sse < best_sse:
+                best_sse = sse
+                best_cols = trial
+        current = best_cols
+        subsets.append(tuple(current))
+    subsets.reverse()
+    return subsets

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bdmtsp.assignment import Assignment, solve_assignment
 from bdmtsp.core import BdmtspError
-from reference import brute_force_assignment
+from reference import brute_force_assignment, numpy_assignment
 
 
 def _all_matching_costs(c):
@@ -176,6 +179,46 @@ def test_cost_matches_scipy_beyond_brute_force_sizes():
         got = solve_assignment(cost)
         assert len(got.pairs) == short
         assert got.cost == pytest.approx(want, rel=1e-12, abs=1e-12), (trial, shape)
+
+
+# Small integers make most matrices tie-heavy; the floats cover negative
+# and fractional costs.
+_ENTRIES = st.one_of(
+    st.sampled_from([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _costs(draw):
+    short = draw(st.integers(1, 7))
+    long = draw(st.integers(1, 40))
+    shape = (long, short) if draw(st.booleans()) else (short, long)
+    return draw(arrays(float, shape, elements=_ENTRIES))
+
+
+# Exact ties that rounding splits: evaluating the reduced cost
+# min_val + c[i][j] - u[i] - v[j] in any other order matches these
+# differently, which random draws only rarely show.
+_ROUNDING_TIES = (
+    [[-1.3, 7.2, 7.2, 7.2], [-1.4, -1.3, 7.2, -1.4],
+     [7.2, -1.3, 7.2, -1.4], [7.2, -1.4, -1.3, -1.3]],
+    [[237.18856591795884, 677.769809083389, -203.23266709497227],
+     [237.18856591795884, 237.18856591795884, 250.41891279753258],
+     [677.769809083389, 237.18856591795884, 250.41891279753258],
+     [-670.8831485940514, -670.8831485940514, 677.769809083389]],
+)
+
+
+@example(np.array(_ROUNDING_TIES[0]))
+@example(np.array(_ROUNDING_TIES[1]))
+@settings(max_examples=200, deadline=None)
+@given(_costs())
+def test_pairs_and_cost_bits_match_numpy_scalar_oracle(cost):
+    got = solve_assignment(cost)
+    want = numpy_assignment(cost)
+    assert got.pairs == want.pairs
+    assert got.cost.hex() == want.cost.hex()
 
 
 def test_brute_force_guard():

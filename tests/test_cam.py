@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bdmtsp import cam
 from bdmtsp.cam import (
     PUBLISHED_3F,
     PUBLISHED_9F,
@@ -30,6 +31,7 @@ from bdmtsp.cam import (
     sweep_to_csv,
 )
 from bdmtsp.core import BdmtspError
+from bdmtsp.harness import ExperimentSpec, run_sweep
 
 import reference
 
@@ -243,6 +245,65 @@ class TestBackwardSelect:
         steps = backward_select(X, y)
         assert len(steps) == 64
         assert [len(s.feature_idx) for s in steps] == list(range(1, 65))
+
+
+def _sweep_design(configs, seed):
+    result = run_sweep(ExperimentSpec(configs=configs, reps=1, seed=seed, workers=2))
+    return feature_matrix(result.configs), np.asarray(result.y)
+
+
+def _subsets(X, y):
+    return [step.feature_idx for step in backward_select(X, y)]
+
+
+class TestSelectionMatchesRefitOracle:
+    """Selected columns equal refitting every candidate, at every stage."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_paper_grid_sweeps(self, seed):
+        X, y = _sweep_design(sweep_configs(), seed)
+        assert _subsets(X, y) == reference.refit_selection(X, y)
+
+    @pytest.mark.parametrize(
+        "configs",
+        [
+            # what `sweep --d-list 10` runs: 70 rows
+            [Configuration(m, n, 10) for m in range(1, 8) for n in range(50, 501, 50)],
+            # one fleet size: 114 rows
+            [Configuration(3, n, d) for n in range(50, 501, 25) for d in range(5, 31, 5)],
+        ],
+        ids=["d-list-10", "single-m"],
+    )
+    def test_rank_deficient_sweeps(self, configs):
+        X, y = _sweep_design(tuple(configs), 0)
+        assert np.linalg.matrix_rank(X) == 16  # most stages are singular
+        assert _subsets(X, y) == reference.refit_selection(X, y)
+
+    @pytest.mark.parametrize("seed", [0, 2, 6])
+    @pytest.mark.parametrize("shift", [0.0, 1e-9])
+    def test_planted_near_tie(self, seed, shift):
+        # Rows come in swapped pairs, so dropping column 1 or column 2
+        # costs the same SSE up to ``shift``: only the refits can order
+        # the two the way refitting every candidate does.
+        rng = np.random.default_rng(seed)
+        u, v, w = rng.uniform(1.0, 2.0, (3, 20))
+        X = np.column_stack([np.ones(40), np.r_[u, v], np.r_[v, u], np.r_[w, w]])
+        y = 5 + 3 * w + 0.01 * (u + v) + rng.normal(scale=0.1, size=20)
+        y = np.r_[y, y]
+        y[0] += shift
+        scores = cam._drop_scores(X / np.linalg.norm(X, axis=0), y, [0, 1, 2, 3])
+        sse = backward_select(X, y)[-1].sse
+        assert abs(scores[1] - scores[2]) <= cam._REFIT_BAND * sse
+        assert min(scores[1], scores[2]) == scores.min()
+        assert _subsets(X, y) == reference.refit_selection(X, y)
+
+    def test_exact_fits(self):
+        # y in the span of the columns: every SSE is rounding noise
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            X = rng.uniform(0.5, 2.0, size=(30, 6))
+            y = X @ np.array([0.0, 3.0, 0.0, -2.0, 0.0, 1.0])
+            assert _subsets(X, y) == reference.refit_selection(X, y), seed
 
 
 class TestPublishedModels:

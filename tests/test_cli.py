@@ -1,14 +1,24 @@
 """End-to-end command-line tests driven through main()."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from bdmtsp import cli
-from bdmtsp.cam import Configuration, model_from_json, sweep_from_csv, sweep_to_csv
+from bdmtsp.cam import (
+    TERMS,
+    Configuration,
+    feature_matrix,
+    model_from_json,
+    sweep_from_csv,
+    sweep_to_csv,
+)
 from bdmtsp.harness import ExperimentSpec, run_sweep
 from bdmtsp.warehouse import AisleSpec, dump_layout, grid_network
+
+import reference
 
 TINY = """NAME : tiny
 DIMENSION : 5
@@ -210,6 +220,28 @@ class TestCamCommands:
         rc = cli.main(["cam-predict", "--model", str(model_path), "2", "40", "5"])
         assert rc == 0
         assert "fitted @" in capsys.readouterr().out
+
+    def test_fit_on_rank_deficient_sweep(self, tmp_path, capsys):
+        # `sweep --d-list 10` has 70 rows of rank 16.  The digest is of the
+        # table printed when every candidate was refitted at every stage.
+        assert cli.main(["sweep", "--d-list", "10", "--reps", "1"]) == 0
+        sweep_csv = tmp_path / "sweep.csv"
+        sweep_csv.write_text(capsys.readouterr().out)
+        model_path = tmp_path / "model.json"
+        rc = cli.main(["cam-fit", "--sweep", str(sweep_csv), "--keep", "40",
+                       "--out", str(model_path)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        table = out[: out.index("kept 40 features")]
+        assert hashlib.sha256(table.encode()).hexdigest() == (
+            "868e1bb16bcdbf4892b98b5f1e2495bfa5f90fdcd32efc848dd716baa1f96a3f"
+        )
+        result = sweep_from_csv(sweep_csv.read_text())
+        kept = reference.refit_selection(
+            feature_matrix(result.configs), np.asarray(result.y)
+        )[39]
+        model = model_from_json(model_path.read_text())
+        assert [term for term, _ in model.terms] == [TERMS[i] for i in kept]
 
     def test_predict_published(self, capsys):
         rc = cli.main(["cam-predict", "--published", "3f", "3", "100", "15"])

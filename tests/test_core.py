@@ -130,6 +130,12 @@ def test_resolve_variable_is_rejected():
         ("m_absolute", math.nan),
         ("relative", math.nan),
         ("m_relative", math.nan),
+        ("absolute", True),
+        ("m_absolute", True),
+        ("relative", True),
+        ("m_relative", True),
+        ("variable", (True, 2)),
+        ("variable", (2, 1.0)),
     ],
 )
 def test_scope_validation_rejects(kind, value):
@@ -259,6 +265,23 @@ def test_fleet_validation():
         Fleet(m=0)
     with pytest.raises(BdmtspError):
         Fleet(m=2, capacity=0)
+
+
+@pytest.mark.parametrize(
+    "m,capacity",
+    [
+        (True, None),
+        (2.0, None),
+        (2, 2.5),
+        (2, True),
+        (2, math.nan),  # every budget comparison is false: dispatch never ended
+        (2, math.inf),
+        (2, 3.0),
+    ],
+)
+def test_fleet_counts_must_be_plain_integers(m, capacity):
+    with pytest.raises(BdmtspError, match="must be an integer >= 1"):
+        Fleet(m=m, capacity=capacity)
 
 
 # --------------------------------------------------------------- schedules

@@ -203,6 +203,34 @@ def test_route_lengths_hand_arithmetic():
     assert total_c == 14.0
 
 
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("n", [50, 500])
+@pytest.mark.parametrize("kind", ["coords", "dist"])
+def test_route_lengths_equal_per_leg_distances_bit_for_bit(kind, n, closed):
+    rng = np.random.default_rng(n)
+    points = rng.random((n, 2)) * 1000.0
+    if kind == "coords":
+        inst = RoutingInstance(name="c", coords=points)
+    else:
+        diff = points[:, None, :] - points[None, :, :]
+        dist = np.hypot(diff[..., 0], diff[..., 1]) * rng.uniform(1.0, 1.5, (n, n))
+        np.fill_diagonal(dist, 0.0)
+        inst = RoutingInstance(name="d", dist=dist)
+    customers = rng.permutation(np.arange(1, n)).tolist()
+    routes = [[0] + customers[k::4] for k in range(4)] + [[0], [3]]
+    want = []
+    for route in routes:
+        length = 0.0
+        for a, b in zip(route, route[1:]):
+            length += inst.distance(a, b)
+        if closed and len(route) > 1:
+            length += inst.distance(route[-1], route[0])
+        want.append(length)
+    lengths, total = route_lengths(routes, inst, closed)
+    assert [v.hex() for v in lengths] == [v.hex() for v in want]
+    assert total.hex() == float(sum(want)).hex()
+
+
 def test_route_lengths_rejects_empty_route():
     inst = uniform_instance(4, seed=0)
     with pytest.raises(InfeasibleError):
