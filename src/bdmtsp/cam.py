@@ -34,6 +34,7 @@ __all__ = [
     "backward_select",
     "step_model",
     "predict",
+    "SWEEP_GRID",
     "sweep_configs",
     "PUBLISHED_3F",
     "PUBLISHED_9F",
@@ -63,27 +64,15 @@ class Configuration:
             raise BdmtspError("configuration components must be >= 1")
 
 
-def _power(base: float, exp: float) -> float:
-    # 0^0 is the intercept convention, not an error
-    if exp == 0.0:
-        return 1.0
-    return base**exp
-
-
-def _monomials(config, terms) -> list[float]:
+def _monomials(config: Configuration, terms) -> list[float]:
     """m^p1 * n^p2 * d^p3 at ``config`` for each power triple in ``terms``.
 
     Raises when a value overflows or is not finite, so no fit or
     prediction ever sees an inf or a nan feature.
     """
     try:
-        if isinstance(config, Configuration):
-            m, n, d = float(config.m), float(config.n), float(config.d)
-        else:
-            m, n, d = (float(v) for v in config)
-        if min(m, n, d) < 0:  # a half power would turn complex
-            raise BdmtspError("m, n and d must be nonnegative")
-        values = [_power(m, p1) * _power(n, p2) * _power(d, p3) for p1, p2, p3 in terms]
+        m, n, d = float(config.m), float(config.n), float(config.d)
+        values = [m**p1 * n**p2 * d**p3 for p1, p2, p3 in terms]
     except OverflowError:
         values = [math.inf]
     if not all(map(math.isfinite, values)):
@@ -91,7 +80,7 @@ def _monomials(config, terms) -> list[float]:
     return values
 
 
-def feature_matrix(configs: Sequence) -> np.ndarray:
+def feature_matrix(configs: Sequence[Configuration]) -> np.ndarray:
     """Feature rows, one column per ``TERMS`` entry, for each configuration."""
     if len(configs) == 0:
         raise BdmtspError("need at least one configuration")
@@ -296,7 +285,7 @@ def step_model(step: SelectionStep) -> CamModel:
     return CamModel(terms=terms, provenance="fitted", fit_stats=dict(step.stats))
 
 
-def predict(model: CamModel, config) -> float:
+def predict(model: CamModel, config: Configuration) -> float:
     """Evaluate the model polynomial at one configuration."""
     values = _monomials(config, [term for term, _ in model.terms])
     total = 0.0
@@ -307,18 +296,18 @@ def predict(model: CamModel, config) -> float:
     return total
 
 
+# The benchmark grid's axes: fleet sizes, customer counts, visibilities.
+SWEEP_GRID = (tuple(range(1, 8)), tuple(range(50, 501, 50)), tuple(range(5, 31, 5)))
+
+
 def sweep_configs() -> tuple[Configuration, ...]:
     """The benchmark grid: m 1..7, n 50..500 by 50, d 5..30 by 5.
 
     Visibility varies fastest, then customers, then vehicles; the grid
     holds 7*10*6 = 420 configurations.
     """
-    return tuple(
-        Configuration(m=m, n=n, d=d)
-        for m in range(1, 8)
-        for n in range(50, 501, 50)
-        for d in range(5, 31, 5)
-    )
+    ms, ns, ds = SWEEP_GRID
+    return tuple(Configuration(m=m, n=n, d=d) for m in ms for n in ns for d in ds)
 
 
 @dataclass(frozen=True)

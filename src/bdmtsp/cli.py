@@ -75,15 +75,9 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _cmd_sweep(args) -> int:
-    if args.m_list or args.n_list or args.d_list:
-        ms = _int_list(args.m_list) if args.m_list else tuple(range(1, 8))
-        ns = _int_list(args.n_list) if args.n_list else tuple(range(50, 501, 50))
-        ds = _int_list(args.d_list) if args.d_list else tuple(range(5, 31, 5))
-        configs = tuple(
-            cam.Configuration(m=m, n=n, d=d) for m in ms for n in ns for d in ds
-        )
-    else:
-        configs = cam.sweep_configs()
+    lists = (args.m_list, args.n_list, args.d_list)
+    ms, ns, ds = (_int_list(text) if text else axis for text, axis in zip(lists, cam.SWEEP_GRID))
+    configs = tuple(cam.Configuration(m=m, n=n, d=d) for m in ms for n in ns for d in ds)
     spec = ExperimentSpec(
         configs=configs,
         reps=args.reps,
@@ -243,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cam-predict", help="evaluate a model at (m, n, d)")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--model", help="model JSON file")
-    source.add_argument("--published", choices=("3f", "9f", "16f"),
+    published = tuple(key.removeprefix("published_") for key in cam.published_models())
+    source.add_argument("--published", choices=published,
                         help="use an embedded published model")
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)

@@ -5,14 +5,16 @@ Dynamics scopes describe how many customers are visible per decision step,
 either directly (absolute), scaled by fleet size (m-absolute), scaled by
 customer count (relative / m-relative), or as an explicit per-step sequence
 (variable).  All scoped forms resolve to an absolute per-step visibility
-target before solving.  Customers are revealed in instance node order.
+target before solving, and ``build_schedule`` turns a scope into one
+visible-count target per decision step.  Node 0 of every instance is the
+depot; the customers are nodes 1..n-1, revealed in that order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -25,7 +27,6 @@ __all__ = [
     "RoutingInstance",
     "DynamicsScope",
     "Fleet",
-    "RevealSchedule",
     "round_half_up",
     "resolve_scope",
     "balancing_threshold",
@@ -61,7 +62,7 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RoutingInstance:
-    """Immutable routing instance: node set with a distinguished depot.
+    """Immutable routing instance: node 0 is the depot, the rest customers.
 
     Exactly one of ``coords`` / ``dist`` must be given.  ``coords`` is an
     (n, 2) array of planar points, measured with the Euclidean metric;
@@ -73,7 +74,7 @@ class RoutingInstance:
     name: str
     coords: np.ndarray | None = None
     dist: np.ndarray | None = None
-    depot: int = 0
+    depot: ClassVar[int] = 0
 
     def __post_init__(self) -> None:
         if (self.coords is None) == (self.dist is None):
@@ -96,8 +97,6 @@ class RoutingInstance:
             object.__setattr__(self, "dist", dist)
         if self.n < 2:
             raise BdmtspError("instance needs at least two nodes")
-        if not 0 <= self.depot < self.n:
-            raise BdmtspError(f"depot {self.depot} out of range")
 
     @property
     def n(self) -> int:
@@ -106,13 +105,7 @@ class RoutingInstance:
 
     def customers(self) -> tuple[int, ...]:
         """Node indices excluding the depot, in instance order."""
-        return tuple(i for i in range(self.n) if i != self.depot)
-
-    def distance(self, i: int, j: int) -> float:
-        if self.dist is not None:
-            return float(self.dist[i, j])
-        di = self.coords[i] - self.coords[j]
-        return float(math.hypot(di[0], di[1]))
+        return tuple(range(1, self.n))
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
         """Distances from ``rows`` to ``cols`` as a dense block."""
@@ -123,16 +116,6 @@ class RoutingInstance:
         p = self.coords[r]
         q = self.coords[c]
         return np.hypot(p[:, 0:1] - q[None, :, 0], p[:, 1:2] - q[None, :, 1])
-
-    def full_matrix(self) -> np.ndarray:
-        if self.dist is not None:
-            return self.dist
-        return _euclid_matrix(self.coords)
-
-
-def _euclid_matrix(coords: np.ndarray) -> np.ndarray:
-    d = coords[:, None, :] - coords[None, :, :]
-    return np.hypot(d[..., 0], d[..., 1])
 
 
 _SCOPE_KINDS = ("absolute", "m_absolute", "relative", "m_relative", "variable")
@@ -264,35 +247,14 @@ def balancing_threshold(n: int, m: int) -> int:
     return -((-(n - 1)) // m)
 
 
-@dataclass(frozen=True)
-class RevealSchedule:
-    """Per-step visible-count targets for one run.
-
-    ``targets`` holds one target per step.  A sequential scope sets
-    ``repeat_last`` and holds a single target, which therefore applies at
-    every step, including the extra steps that capacity blocking needs;
-    a variable scope raises once its sequence is exhausted.
-    """
-
-    targets: tuple[int, ...]
-    repeat_last: bool
-
-    def visible_target(self, step: int) -> int:
-        if self.repeat_last:
-            return self.targets[0]  # the only target; [0] indexes fastest
-        if step >= len(self.targets):
-            raise ScheduleError(
-                "variable dynamics sequence exhausted before all customers served"
-            )
-        return self.targets[step]
-
-
 def build_schedule(
     scope: DynamicsScope, instance: RoutingInstance, m: int
-) -> RevealSchedule:
-    """Build the reveal schedule for ``instance`` under ``scope``.
+) -> tuple[int, ...]:
+    """The visible-count target of every decision step for ``instance``.
 
-    A variable sequence is rejected up front when it could not serve
+    A sequential scope repeats its resolved count n-1 times: every step
+    serves at least one customer, so no run takes more steps.  A variable
+    scope is its own sequence, rejected up front when it could not serve
     every customer even if each step served min(m, target) of them.
     """
     n = instance.n
@@ -303,5 +265,5 @@ def build_schedule(
             raise ScheduleError(
                 "variable dynamics sequence exhausted before all customers revealed"
             )
-        return RevealSchedule(targets=scope.value, repeat_last=False)
-    return RevealSchedule(targets=(resolve_scope(scope, m, n),), repeat_last=True)
+        return scope.value
+    return (resolve_scope(scope, m, n),) * (n - 1)

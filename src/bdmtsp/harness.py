@@ -9,6 +9,7 @@ rep), so serial and parallel runs produce identical results.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from .cam import Configuration, SweepResult
-from .core import BdmtspError, DynamicsScope, Fleet, RoutingInstance, build_schedule
+from .core import (
+    _SCOPE_KINDS,
+    BdmtspError,
+    DynamicsScope,
+    Fleet,
+    RoutingInstance,
+    build_schedule,
+)
 from .io import parse_tsplib, read_text
 # The registry object itself, not a copy: perfbench/layers.py rebinds its
 # entries (and this module's build_schedule, instance_for, parse_tsplib),
@@ -108,12 +116,21 @@ def _sweep_totals(spec: ExperimentSpec, algorithms: tuple[str, ...]) -> list:
         for ci, config in enumerate(spec.configs)
         for rep in range(spec.reps)
     ]
-    workers = spec.workers
-    if workers is None or workers <= 1:
+    workers = min(spec.workers or 1, len(tasks), _usable_cpus())
+    if workers <= 1:
         return [_solve_task(t) for t in tasks]
+    # the pool starts all its workers up front, so never ask for more
+    # than there are tasks or CPUs to run them
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(tasks) // (workers * 8))
         return list(pool.map(_solve_task, tasks, chunksize=chunk))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        return os.cpu_count() or 1
 
 
 def run_sweep(spec: ExperimentSpec) -> SweepResult:
@@ -155,7 +172,7 @@ def parse_scope(text: str) -> DynamicsScope:
     kind = kind.strip().lower().replace("-", "_")
     if not sep:
         raise BdmtspError(f"scope needs kind:value, got {text!r}")
-    if kind not in ("absolute", "m_absolute", "relative", "m_relative", "variable"):
+    if kind not in _SCOPE_KINDS:
         raise BdmtspError(f"unknown scope kind {kind!r}")
     try:
         if kind == "absolute":

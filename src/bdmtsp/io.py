@@ -25,7 +25,6 @@ __all__ = [
     "TaxiLoadResult",
     "read_text",
     "parse_tsplib",
-    "dump_tsplib",
     "load_taxi_csv",
     "trips_to_instance",
 ]
@@ -143,8 +142,9 @@ def parse_tsplib(text: str) -> RoutingInstance:
     """Parse a TSPLIB-style instance.
 
     Supports EUC_2D coordinate instances and EXPLICIT matrices in full
-    or triangular row layouts.  Node order in the file is preserved and
-    later doubles as the reveal order.  Distances are kept real-valued.
+    or triangular row layouts.  Node order in the file is preserved: the
+    first node is the depot, and the rest are revealed in file order.
+    Distances are kept real-valued.
     """
     fields, sections = _split_header(text)
     name = fields.get("NAME", "unnamed")
@@ -176,27 +176,6 @@ def parse_tsplib(text: str) -> RoutingInstance:
         return RoutingInstance(name=name, **data)
     except BdmtspError as exc:
         raise ParseError(str(exc)) from None
-
-
-def dump_tsplib(instance: RoutingInstance) -> str:
-    """Serialize an instance back to TSPLIB text.
-
-    Uses 17 significant digits so parse -> dump -> parse is exact.
-    """
-    out = [f"NAME : {instance.name}", "TYPE : TSP", f"DIMENSION : {instance.n}"]
-    if instance.coords is not None:
-        out.append("EDGE_WEIGHT_TYPE : EUC_2D")
-        out.append("NODE_COORD_SECTION")
-        for i, (x, y) in enumerate(instance.coords, start=1):
-            out.append(f"{i} {x:.17g} {y:.17g}")
-    else:
-        out.append("EDGE_WEIGHT_TYPE : EXPLICIT")
-        out.append("EDGE_WEIGHT_FORMAT : FULL_MATRIX")
-        out.append("EDGE_WEIGHT_SECTION")
-        for row in instance.full_matrix():
-            out.append(" ".join(f"{v:.17g}" for v in row))
-    out.append("EOF")
-    return "\n".join(out) + "\n"
 
 
 # --------------------------------------------------------------- taxi
@@ -242,7 +221,8 @@ class TaxiLoadResult:
 def load_taxi_csv(text: str) -> TaxiLoadResult:
     """Read trip rows, drop filtered ones, and sort by pickup time.
 
-    Malformed rows are skipped and counted; a missing column is a hard
+    Malformed rows are skipped and counted; a missing column, or kept
+    rows that mix timestamps with and without a UTC offset, is a hard
     error.  The returned order (timestamp, then original row order) is
     the reveal order for dynamic scenarios.
     """
@@ -275,6 +255,7 @@ def load_taxi_csv(text: str) -> TaxiLoadResult:
             kept.append((trip.timestamp, row_idx, trip))
         else:
             dropped += 1
+    _check_offsets(kept)
     kept.sort(key=lambda item: (item[0], item[1]))
     trips = tuple(trip for _, _, trip in kept)
     return TaxiLoadResult(
@@ -284,6 +265,21 @@ def load_taxi_csv(text: str) -> TaxiLoadResult:
         dropped=dropped,
         malformed=malformed,
     )
+
+
+def _check_offsets(kept: Sequence[tuple[datetime, int, TripRecord]]) -> None:
+    """Reject kept rows that mix timestamps with and without a UTC offset;
+    such timestamps cannot be ordered against each other."""
+    if not kept:
+        return
+    first_when, first_row, _ = kept[0]
+    aware = first_when.utcoffset() is not None
+    for when, row_idx, _ in kept:
+        if (when.utcoffset() is not None) != aware:
+            raise ParseError(
+                "pickup_datetime mixes timestamps with and without a UTC offset: "
+                f"data row {row_idx + 1} differs from data row {first_row + 1}"
+            )
 
 
 # Rows of the trip matrix computed per numpy call: enough to amortise the

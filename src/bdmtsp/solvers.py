@@ -1,8 +1,9 @@
 """Balanced dynamic routing heuristics.
 
-Both solvers share one dispatch loop: at each step the first ``d``
-not-yet-served customers in instance node order are visible, every
-vehicle below its stop budget is active, and a step policy matches
+Both solvers share one dispatch loop.  Every route starts at the depot,
+node 0.  At each step the schedule's target for that step gives how many
+of the not-yet-served customers, in instance node order, are visible;
+every vehicle below its stop budget is active, and a step policy matches
 active vehicles to visible customers.  The closest-vehicle policy picks
 globally nearest (vehicle, customer) pairs greedily; the assignment
 policy solves a minimum-cost matching per step.  Vehicles that reach
@@ -18,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .assignment import solve_assignment
-from .core import Fleet, InfeasibleError, RevealSchedule, RoutingInstance
+from .core import Fleet, InfeasibleError, RoutingInstance, ScheduleError
 
 __all__ = [
     "ALGORITHMS",
@@ -77,7 +78,7 @@ def _assignment_pairs(block: np.ndarray) -> tuple[tuple[int, int], ...]:
 def _dispatch(
     instance: RoutingInstance,
     fleet: Fleet,
-    schedule: RevealSchedule,
+    schedule: tuple[int, ...],
     policy: Callable[[np.ndarray], tuple[tuple[int, int], ...]],
     closed: bool,
     on_step,
@@ -97,7 +98,11 @@ def _dispatch(
     step = 0
 
     while pending:
-        nodes = pending[:schedule.visible_target(step)]
+        if step == len(schedule):
+            raise ScheduleError(
+                "variable dynamics sequence exhausted before all customers served"
+            )
+        nodes = pending[:schedule[step]]
         active = [k for k in range(m) if stops[k] < cap]
         block = instance.submatrix([from_node[k] for k in active], nodes)
         pairs = policy(block)
@@ -128,7 +133,7 @@ def _dispatch(
 def bd_cvh(
     instance: RoutingInstance,
     fleet: Fleet,
-    schedule: RevealSchedule,
+    schedule: tuple[int, ...],
     *,
     closed: bool = False,
     on_step=None,
@@ -140,7 +145,7 @@ def bd_cvh(
 def bd_avh(
     instance: RoutingInstance,
     fleet: Fleet,
-    schedule: RevealSchedule,
+    schedule: tuple[int, ...],
     *,
     closed: bool = False,
     on_step=None,
@@ -175,7 +180,7 @@ def route_lengths(
 
 def _walk_length(instance: RoutingInstance, walk: list[int]) -> float:
     # One fancy index per walk, then the legs summed left to right on
-    # Python floats: the same values instance.distance gives per leg.
+    # Python floats, each leg the scalar distance between its two nodes.
     length = 0.0
     if instance.dist is not None:
         for leg in instance.dist[walk[:-1], walk[1:]].tolist():

@@ -34,7 +34,6 @@ __all__ = [
     "grid_network",
     "occupancy",
     "parse_layout",
-    "dump_layout",
     "parse_jobs_csv",
 ]
 
@@ -340,12 +339,6 @@ def parse_layout(text: str) -> WarehouseNetwork:
         raise
     except BdmtspError as exc:
         raise ParseError(f"invalid layout: {exc}") from None
-
-
-def dump_layout(net: WarehouseNetwork) -> str:
-    lines = [f"node {nid} {x:g} {y:g}" for nid, x, y in net.nodes]
-    lines += [f"edge {a} {b} {w:g}" for a, b, w in net.edges]
-    return "\n".join(lines) + "\n"
 
 
 def parse_jobs_csv(text: str, net: WarehouseNetwork) -> tuple[TransferJob, ...]:

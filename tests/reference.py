@@ -3,11 +3,12 @@
 Everything here is written from scratch with plain Python loops and a
 different algorithmic route than the package, so an implementation bug
 cannot hide behind a shared helper.  The exceptions are bit-exact
-oracles that keep an earlier form of package code: ``dijkstra_by_id``
-(the string-keyed Dijkstra the warehouse module once used, for its
-tie-breaking), ``numpy_assignment`` (the assignment loop on numpy
-scalars) and ``refit_selection`` (backward selection refitting every
-candidate).
+oracles that keep an earlier form of package code: ``distance`` and
+``full_matrix`` (the scalar and all-pairs distances routing instances
+once exposed), ``dijkstra_by_id`` (the string-keyed Dijkstra the
+warehouse module once used, for its tie-breaking), ``numpy_assignment``
+(the assignment loop on numpy scalars) and ``refit_selection``
+(backward selection refitting every candidate).
 """
 
 from __future__ import annotations
@@ -20,6 +21,22 @@ import numpy as np
 
 from bdmtsp.assignment import Assignment
 from bdmtsp.core import BdmtspError, ScheduleError
+
+
+def distance(instance, i, j) -> float:
+    """Distance from node ``i`` to node ``j`` of a routing instance."""
+    if instance.dist is not None:
+        return float(instance.dist[i, j])
+    di = instance.coords[i] - instance.coords[j]
+    return float(math.hypot(di[0], di[1]))
+
+
+def full_matrix(instance) -> np.ndarray:
+    """All-pairs distances of a routing instance as one dense matrix."""
+    if instance.dist is not None:
+        return instance.dist
+    d = instance.coords[:, None, :] - instance.coords[None, :, :]
+    return np.hypot(d[..., 0], d[..., 1])
 
 
 def law_of_cosines_km(lat1, lon1, lat2, lon2, radius=6378.4):

@@ -97,7 +97,7 @@ def test_criterion_03_degeneracy():
         full = build_schedule(DynamicsScope.relative(1.0), inst, m)
         cvh_routes = bd_cvh(inst, fleet, full).routes
         static = reference.static_closest_vehicle(
-            inst.full_matrix(), inst.depot, m, fleet.capacity_for(inst.n)
+            reference.full_matrix(inst), inst.depot, m, fleet.capacity_for(inst.n)
         )
         if [list(r) for r in cvh_routes] == static:
             full_matches += 1
@@ -283,7 +283,7 @@ def test_criterion_10_warehouse_pipeline():
             for j, target in enumerate(targets):
                 if i == j:
                     continue
-                if abs(instance.distance(i, j) - oracle[origin][target]) > 1e-9:
+                if abs(reference.distance(instance, i, j) - oracle[origin][target]) > 1e-9:
                     matrix_ok = False
         sched = build_schedule(DynamicsScope.relative(1.0), instance, 1)
         routes = bd_avh(instance, Fleet(m=1), sched, closed=True)

@@ -319,21 +319,13 @@ class TestPublishedModels:
         assert predict(PUBLISHED_16F, cfg) == pytest.approx(20.13861062221332, abs=1e-12)
 
     def test_three_feature_reference_band(self):
-        assert abs(predict(PUBLISHED_3F, (3, 100, 15)) - 18.85) < 0.05
-
-    def test_zero_customer_column_zeroes_prediction(self):
-        assert predict(PUBLISHED_3F, (3, 0, 15)) == 0.0
+        assert abs(predict(PUBLISHED_3F, Configuration(3, 100, 15)) - 18.85) < 0.05
 
     def test_registry(self):
         models = published_models()
         assert set(models) == {"published_3f", "published_9f", "published_16f"}
         assert all(m.provenance == name for name, m in models.items())
         assert [len(m.terms) for m in models.values()] == [3, 9, 16]
-
-    def test_predict_accepts_tuple_and_config(self):
-        assert predict(PUBLISHED_9F, (2, 200, 10)) == pytest.approx(
-            predict(PUBLISHED_9F, Configuration(2, 200, 10))
-        )
 
 
 class TestStepModel:
@@ -455,11 +447,12 @@ class TestOverflow:
             predict(PUBLISHED_9F, Configuration(3, 10**400, 15))
 
     def test_negative_component_rejected(self):
-        # a half power of a negative base is complex
-        with pytest.raises(BdmtspError, match="nonnegative"):
-            predict(PUBLISHED_9F, (-3, 100, 15))
-        with pytest.raises(BdmtspError, match="nonnegative"):
-            feature_matrix([(3, 100, -15)])
+        # a half power of a negative base is complex, so no negative
+        # component may reach the monomials: a Configuration refuses it
+        with pytest.raises(BdmtspError, match="must be >= 1"):
+            Configuration(-3, 100, 15)
+        with pytest.raises(BdmtspError, match="must be >= 1"):
+            Configuration(3, 100, -15)
 
     def test_feature_columns_equal_the_literal_products(self):
         # the product order m-power * n-power * d-power is part of the

@@ -1,5 +1,6 @@
 """End-to-end command-line tests driven through main()."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -12,13 +13,15 @@ from bdmtsp.cam import (
     Configuration,
     feature_matrix,
     model_from_json,
+    sweep_configs,
     sweep_from_csv,
     sweep_to_csv,
 )
 from bdmtsp.harness import ExperimentSpec, run_sweep
-from bdmtsp.warehouse import AisleSpec, dump_layout, grid_network
+from bdmtsp.warehouse import AisleSpec, grid_network
 
 import reference
+from conftest import layout_text
 
 TINY = """NAME : tiny
 DIMENSION : 5
@@ -172,6 +175,25 @@ class TestSweep:
         )
         assert sweep_from_csv(out.read_text()) == run_sweep(spec)
 
+    @pytest.mark.parametrize(
+        "argv,keep",
+        [
+            ([], lambda c: True),
+            (["--m-list", "2"], lambda c: c.m == 2),
+            (["--n-list", "100,300", "--d-list", "10"], lambda c: c.n in (100, 300) and c.d == 10),
+        ],
+    )
+    def test_unlisted_axes_come_from_the_paper_grid(self, monkeypatch, argv, keep):
+        specs = []
+
+        def first_config_only(spec):
+            specs.append(spec)
+            return run_sweep(dataclasses.replace(spec, configs=spec.configs[:1], reps=1))
+
+        monkeypatch.setattr(cli, "run_sweep", first_config_only)
+        assert cli.main(["sweep", *argv]) == 0
+        assert specs[0].configs == tuple(c for c in sweep_configs() if keep(c))
+
     def test_gap_mode_prints_percentage(self, capsys):
         rc = cli.main(["sweep", "--m-list", "3", "--n-list", "50", "--d-list", "5",
                        "--reps", "2", "--seed", "1", "--gap"])
@@ -309,7 +331,7 @@ class TestWarehouseCommand:
     def test_walk_equals_joblevel_plus_internal(self, tmp_path, capsys):
         net = grid_network(3, 4, AisleSpec(dx=2.0, dy=3.0, shelf_len=1.5))
         layout = tmp_path / "layout.txt"
-        layout.write_text(dump_layout(net))
+        layout.write_text(layout_text(net))
         jobs = tmp_path / "jobs.csv"
         jobs.write_text(
             "id,source,dest\nj1,s0.0,s1.2\nj2,s2.1,s0.3\nj3,s1.1,s2.3\n"
@@ -350,6 +372,17 @@ class TestTaxiCommand:
                        "--scope", "absolute:1"])
         assert rc == 1
         assert "no usable trips" in capsys.readouterr().out
+
+
+    def test_mixed_utc_offsets_exit_2(self, tmp_path, capsys):
+        # one kept row with a UTC offset, one without
+        text = TAXI_CSV.replace("2016-12-10 08:00:00", "2016-12-10T08:00:00+00:00")
+        csv_path = tmp_path / "trips.csv"
+        csv_path.write_text(text)
+        rc = cli.main(["taxi", "--csv", str(csv_path), "--m", "1",
+                       "--scope", "absolute:1"])
+        assert rc == 2
+        assert "UTC offset" in capsys.readouterr().err
 
 
 class TestReproduceCommand:

@@ -201,14 +201,15 @@ def test_balancing_threshold_rejects_degenerate():
 def test_instance_basic_properties():
     inst = uniform_instance(8, seed=1)
     assert inst.n == 8
+    assert inst.depot == 0
     assert inst.customers() == (1, 2, 3, 4, 5, 6, 7)
-    assert inst.distance(2, 2) == 0.0
-    assert inst.distance(1, 5) == pytest.approx(inst.distance(5, 1))
+    assert reference.distance(inst, 2, 2) == 0.0
+    assert reference.distance(inst, 1, 5) == pytest.approx(reference.distance(inst, 5, 1))
 
 
 def test_instance_submatrix_matches_full_matrix():
     inst = uniform_instance(10, seed=7)
-    full = inst.full_matrix()
+    full = reference.full_matrix(inst)
     block = inst.submatrix([2, 5], [1, 8, 9])
     assert np.allclose(block, full[np.ix_([2, 5], [1, 8, 9])])
 
@@ -216,9 +217,9 @@ def test_instance_submatrix_matches_full_matrix():
 def test_instance_explicit_matrix_roundtrip():
     d = np.array([[0.0, 2.0, 9.0], [1.0, 0.0, 4.0], [9.0, 4.0, 0.0]])
     inst = RoutingInstance(name="x", dist=d)
-    assert inst.distance(0, 1) == 2.0
-    assert inst.distance(1, 0) == 1.0  # asymmetry preserved
-    assert np.array_equal(inst.full_matrix(), d)
+    assert reference.distance(inst, 0, 1) == 2.0
+    assert reference.distance(inst, 1, 0) == 1.0  # asymmetry preserved
+    assert np.array_equal(inst.submatrix(range(3), range(3)), d)
 
 
 @pytest.mark.parametrize(
@@ -230,7 +231,7 @@ def test_instance_explicit_matrix_roundtrip():
         dict(dist=np.array([[0.0, -1.0], [1.0, 0.0]])),
         dict(dist=np.array([[1.0, 2.0], [2.0, 1.0]])),
         dict(dist=np.array([[0.0, np.inf], [1.0, 0.0]])),
-        dict(coords=np.zeros((4, 2)), depot=4),
+        dict(dist=np.zeros((2, 3))),
         dict(  # both given, and inconsistent too
             coords=np.array([[0.0, 0.0], [3.0, 4.0]]),
             dist=np.array([[0.0, 6.0], [6.0, 0.0]]),
@@ -298,17 +299,18 @@ def _visible_counts(inst, scope, m):
 
 
 def test_schedule_default_ordering_skips_depot():
-    # customers are revealed in node order with the depot left out
-    inst = RoutingInstance(name="x", coords=np.random.rand(5, 2), depot=2)
+    # customers are revealed in node order with the depot, node 0, left out
+    inst = RoutingInstance(name="x", coords=np.random.rand(5, 2))
     sched = build_schedule(DynamicsScope.absolute(2), inst, m=1)
     for solver in (bd_cvh, bd_avh):
         traces = []
-        solver(inst, Fleet(m=1), sched, on_step=traces.append)
-        assert traces[0].nodes == (0, 1)
+        out = solver(inst, Fleet(m=1), sched, on_step=traces.append)
+        assert traces[0].nodes == (1, 2)
         revealed = []
         for t in traces:
             revealed += [node for node in t.nodes if node not in revealed]
-        assert revealed == [0, 1, 3, 4]
+        assert revealed == [1, 2, 3, 4]
+        assert all(route[0] == 0 for route in out.routes)
 
 
 def test_schedule_sequential_counts():
@@ -316,8 +318,7 @@ def test_schedule_sequential_counts():
     # visibility runs 4,4,4 then the 3-then-1 tail.
     inst = uniform_instance(10, seed=0)
     sched = build_schedule(DynamicsScope.absolute(4), inst, m=2)
-    assert sched.targets == (4,)
-    assert sched.repeat_last
+    assert sched == (4,) * 9
     assert _visible_counts(inst, DynamicsScope.absolute(4), 2) == ((4, 4, 4, 3, 1),) * 2
 
 
@@ -332,21 +333,28 @@ def test_schedule_full_visibility():
 
 
 def test_schedule_sequential_target_never_exhausts():
+    # one target per customer: enough even when every step serves one
     inst = uniform_instance(10, seed=0)
-    sched = build_schedule(DynamicsScope.absolute(4), inst, m=2)
-    assert sched.visible_target(10_000) == 4
+    assert build_schedule(DynamicsScope.absolute(4), inst, m=2) == (4,) * 9
+    assert build_schedule(DynamicsScope.relative(1.0), inst, m=7) == (9,) * 9
 
 
 def test_schedule_variable_counts_and_exhaustion():
     inst = uniform_instance(8, seed=0)
     scope = DynamicsScope.variable((3, 4, 5))
-    sched = build_schedule(scope, inst, m=3)
-    assert sched.targets == (3, 4, 5)
-    assert not sched.repeat_last
-    assert sched.visible_target(1) == 4
-    with pytest.raises(ScheduleError):
-        sched.visible_target(3)
+    assert build_schedule(scope, inst, m=3) == (3, 4, 5)
     assert _visible_counts(inst, scope, 3) == ((3, 4, 1),) * 2
+
+
+def test_dispatch_raises_when_a_variable_schedule_runs_out():
+    # customers on a line: vehicle 0 serves the first four alone and then
+    # sits at its budget, so the later steps serve one customer each and
+    # the sequence ends with customer 7 unserved
+    inst = RoutingInstance(name="line", coords=[[x, 0.0] for x in range(8)])
+    sched = build_schedule(DynamicsScope.variable((1, 1, 1, 1, 2, 1)), inst, m=2)
+    for solver in (bd_cvh, bd_avh):
+        with pytest.raises(ScheduleError, match="exhausted before all customers served"):
+            solver(inst, Fleet(m=2, capacity=4), sched)
 
 
 def test_schedule_variable_too_short_rejected():
@@ -372,7 +380,7 @@ def test_variable_schedule_rejected_exactly_when_nominal_service_runs_out(target
             build_schedule(DynamicsScope.variable(targets), inst, m=m)
     else:
         sched = build_schedule(DynamicsScope.variable(targets), inst, m=m)
-        assert sched.targets == tuple(targets)
+        assert sched == tuple(targets)
 
 
 @settings(max_examples=60, deadline=None)
@@ -380,25 +388,66 @@ def test_variable_schedule_rejected_exactly_when_nominal_service_runs_out(target
     st.integers(min_value=2, max_value=60),
     st.integers(min_value=1, max_value=8),
     st.integers(min_value=1, max_value=60),
-    st.integers(min_value=0, max_value=59),
     st.sampled_from([bd_cvh, bd_avh]),
 )
-def test_schedule_reveals_every_customer_exactly(n, m, d, depot, solver):
-    depot %= n
+def test_schedule_reveals_every_customer_exactly(n, m, d, solver):
     coords = np.random.default_rng(n * 1000 + m).random((n, 2))
-    inst = RoutingInstance(name="p", coords=coords, depot=depot)
+    inst = RoutingInstance(name="p", coords=coords)
     sched = build_schedule(DynamicsScope.absolute(d), inst, m=m)
-    customers = [i for i in range(n) if i != depot]
+    customers = list(range(1, n))
     served: list[int] = []
     traces = []
     out = solver(inst, Fleet(m=m), sched, on_step=traces.append)
     for t in traces:
         unserved = [c for c in customers if c not in served]
-        target = sched.visible_target(t.step)
-        assert t.nodes == tuple(unserved[: min(target, len(unserved))])
-        assert depot not in t.nodes
+        assert t.nodes == tuple(unserved[: sched[t.step]])
+        assert 0 not in t.nodes
         for _, b in t.pairs:
             assert t.nodes[b] not in served
             served.append(t.nodes[b])
     assert sorted(served) == customers
     assert sorted(node for route in out.routes for node in route[1:]) == customers
+
+
+_SEQUENTIAL_SCOPES = st.one_of(
+    st.integers(min_value=1, max_value=30).map(DynamicsScope.absolute),
+    st.floats(min_value=0.1, max_value=8.0).map(DynamicsScope.m_absolute),
+    st.floats(min_value=0.01, max_value=1.0).map(DynamicsScope.relative),
+    st.floats(min_value=0.01, max_value=1.0).map(DynamicsScope.m_relative),
+)
+
+
+@st.composite
+def _small_instances(draw):
+    """A 2-25 node instance, planar or an asymmetric explicit matrix."""
+    n = draw(st.integers(min_value=2, max_value=25))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        return RoutingInstance(name="coords", coords=rng.random((n, 2)))
+    dist = rng.random((n, n))
+    np.fill_diagonal(dist, 0.0)
+    return RoutingInstance(name="dist", dist=dist)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _small_instances(),
+    st.integers(min_value=1, max_value=7),
+    _SEQUENTIAL_SCOPES,
+    st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+    st.sampled_from([bd_cvh, bd_avh]),
+)
+def test_sequential_schedule_never_runs_out(inst, m, scope, slack, solver):
+    # every step serves at least one customer, so n - 1 targets always
+    # suffice; slack None is the default budget, else threshold + slack
+    n = inst.n
+    capacity = None if slack is None else balancing_threshold(n, m) + slack
+    sched = build_schedule(scope, inst, m)
+    assert sched == (resolve_scope(scope, m, n),) * (n - 1)
+    traces = []
+    out = solver(inst, Fleet(m=m, capacity=capacity), sched, on_step=traces.append)
+    assert len(traces) <= n - 1
+    served = [t.nodes[b] for t in traces for _, b in t.pairs]
+    assert sorted(served) == list(range(1, n))
+    assert sorted(node for route in out.routes for node in route[1:]) == list(range(1, n))
+    assert all(route[0] == 0 for route in out.routes)

@@ -2,10 +2,12 @@
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 
+import bdmtsp.harness
 from bdmtsp.cam import Configuration
 from bdmtsp.core import BdmtspError, DynamicsScope, Fleet, build_schedule
 from bdmtsp.harness import (
@@ -90,6 +92,35 @@ class TestRunSweep:
         serial = run_sweep(spec)
         parallel = run_sweep(dataclasses.replace(spec, workers=2))
         assert serial == parallel
+
+    @pytest.mark.parametrize("cpus,expected", [(64, 6), (2, 2), (1, None)])
+    def test_pool_is_capped_at_tasks_and_cpus(self, monkeypatch, cpus, expected):
+        # a pool starts every worker up front: never more than there are
+        # tasks (2 configs x 3 reps) or usable CPUs; None means no pool
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(bdmtsp.harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(bdmtsp.harness, "_usable_cpus", lambda: cpus)
+        spec = ExperimentSpec(configs=self.CONFIGS, reps=3, seed=9)
+        result = run_sweep(dataclasses.replace(spec, workers=10**6))
+        assert pools == ([] if expected is None else [expected])
+        assert result == run_sweep(spec)
+
+    def test_usable_cpus_is_a_positive_count(self):
+        assert 1 <= bdmtsp.harness._usable_cpus() <= (os.cpu_count() or 1)
 
     def test_result_carries_run_parameters(self):
         spec = ExperimentSpec(configs=self.CONFIGS, reps=2, seed=5)

@@ -10,12 +10,9 @@ from hypothesis import strategies as st
 
 from bdmtsp.core import BdmtspError, ParseError
 from bdmtsp.geometry import EARTH_RADIUS_KM, GeoPoint, TripRecord, haversine
-from bdmtsp.io import (
-    dump_tsplib,
-    load_taxi_csv,
-    parse_tsplib,
-    trips_to_instance,
-)
+from bdmtsp.io import load_taxi_csv, parse_tsplib, trips_to_instance
+
+import reference
 
 EUC3 = """NAME : tiny
 TYPE : TSP
@@ -46,30 +43,27 @@ class TestParseTsplib:
         assert inst.dist is None
         assert inst.n == 3
         assert np.array_equal(inst.coords, [[0, 0], [3, 4], [6, 8]])
-        assert inst.distance(0, 1) == 5.0
+        assert reference.distance(inst, 0, 1) == 5.0
 
-    def test_explicit_full_matrix_round_trips(self):
+    def test_explicit_full_matrix(self):
         inst = parse_tsplib(FULL3)
         assert inst.coords is None
-        assert inst.distance(0, 1) == 1.5  # real-valued entries survive
-        again = parse_tsplib(dump_tsplib(inst))
-        assert np.array_equal(again.full_matrix(), inst.full_matrix())
+        assert reference.distance(inst, 0, 1) == 1.5  # real-valued entries survive
+        want = [[0.0, 1.5, 2.0], [1.5, 0.0, 2.5], [2.0, 2.5, 0.0]]
+        assert np.array_equal(inst.dist, want)
 
     def test_huge_dimension_checked_before_allocation(self):
         text = EUC3.replace("DIMENSION : 3", "DIMENSION : 100000000000000")
         with pytest.raises(ParseError, match="expected 100000000000000 coordinate rows"):
             parse_tsplib(text)
 
-    def test_euc2d_dump_round_trips_exactly(self):
+    def test_euc2d_coordinates_parse_exactly(self):
+        # 17 significant digits name every double exactly
         rng = np.random.default_rng(6)
         coords = rng.uniform(0, 1000, size=(9, 2))
-        from bdmtsp.core import RoutingInstance
-
-        inst = RoutingInstance(name="rt", coords=coords)
-        again = parse_tsplib(dump_tsplib(inst))
-        assert np.array_equal(again.coords, coords)
-        third = parse_tsplib(dump_tsplib(again))
-        assert np.array_equal(third.coords, again.coords)
+        rows = "\n".join(f"{i} {x:.17g} {y:.17g}" for i, (x, y) in enumerate(coords, 1))
+        text = f"NAME : rt\nDIMENSION : 9\nNODE_COORD_SECTION\n{rows}\nEOF\n"
+        assert np.array_equal(parse_tsplib(text).coords, coords)
 
     @pytest.mark.parametrize(
         "layout,entries",
@@ -97,7 +91,7 @@ class TestParseTsplib:
             3: [[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]],
             4: [[0, 1, 2, 4], [1, 0, 3, 5], [2, 3, 0, 6], [4, 5, 6, 0]],
         }[n]
-        assert np.array_equal(inst.full_matrix(), np.array(want, dtype=float))
+        assert np.array_equal(inst.dist, np.array(want, dtype=float))
 
     def test_entries_may_flow_across_lines(self):
         text = (
@@ -106,8 +100,8 @@ class TestParseTsplib:
             "0 1.5 2\n2.5 0\n3.5 4.5 5.5 0\nEOF\n"
         )
         inst = parse_tsplib(text)
-        assert inst.distance(1, 0) == 2.5
-        assert inst.distance(2, 1) == 5.5
+        assert reference.distance(inst, 1, 0) == 2.5
+        assert reference.distance(inst, 2, 1) == 5.5
 
     def test_berlin52_file(self, data_dir):
         inst = parse_tsplib((data_dir / "berlin52.tsp").read_text())
@@ -235,6 +229,36 @@ class TestLoadTaxiCsv:
         assert kms == [1.0, 3.0, 2.0]
         assert result.trips[0].timestamp == datetime(2016, 12, 10, 8, 0, 0)
 
+    def test_mixed_utc_offsets_rejected(self):
+        # aware and naive timestamps cannot be ordered against each other
+        text = TAXI_HEADER + "\n" + "\n".join(
+            [_taxi_row(t="2016-01-01T10:00:00+00:00"), _taxi_row(t="2016-01-01T09:00:00")]
+        )
+        with pytest.raises(ParseError, match="pickup_datetime .* data row 2 differs"):
+            load_taxi_csv(text)
+
+    def test_offsets_of_dropped_rows_are_not_checked(self):
+        text = TAXI_HEADER + "\n" + "\n".join(
+            [
+                _taxi_row(t="2016-01-01T10:00:00+00:00"),
+                _taxi_row(t="2016-01-01T09:00:00", wait_s=91 * 60),  # dropped
+                _taxi_row(t="2016-01-01 08:00", plat="x"),  # malformed
+            ]
+        )
+        result = load_taxi_csv(text)
+        assert (result.kept, result.dropped, result.malformed) == (1, 1, 1)
+
+    def test_all_offset_timestamps_sort_by_instant(self):
+        text = TAXI_HEADER + "\n" + "\n".join(
+            [
+                _taxi_row(t="2016-01-01T10:00:00+00:00", dist_m=1000),
+                _taxi_row(t="2016-01-01T09:30:00-01:00", dist_m=2000),  # 10:30 UTC
+                _taxi_row(t="2016-01-01T11:00:00+01:00", dist_m=3000),  # 10:00 UTC
+            ]
+        )
+        kms = [trip.recorded_km for trip in load_taxi_csv(text).trips]
+        assert kms == [1.0, 3.0, 2.0]
+
     def test_unit_conversion(self):
         result = load_taxi_csv(TAXI_HEADER + "\n" + _taxi_row())
         trip = result.trips[0]
@@ -284,8 +308,8 @@ class TestTripsToInstance:
         a = _trip(19.40, -99.15, 19.45, -99.10)
         b = _trip(19.45, -99.10, 19.50, -99.20)  # starts where a ended
         inst, _ = trips_to_instance([a, b], self.DEPOT)
-        assert inst.distance(1, 2) == 0.0
-        assert inst.distance(2, 1) > 0.0
+        assert reference.distance(inst, 1, 2) == 0.0
+        assert reference.distance(inst, 2, 1) > 0.0
 
     def test_matrix_matches_haversine_oracle(self):
         trips = [
@@ -298,12 +322,12 @@ class TestTripsToInstance:
         assert inst.coords is None
         assert internal == pytest.approx(12.5)
         for k, trip in enumerate(trips, start=1):
-            assert inst.distance(0, k) == haversine(self.DEPOT, trip.pickup)
-            assert inst.distance(k, 0) == haversine(trip.dropoff, self.DEPOT)
+            assert reference.distance(inst, 0, k) == haversine(self.DEPOT, trip.pickup)
+            assert reference.distance(inst, k, 0) == haversine(trip.dropoff, self.DEPOT)
         for a, ta in enumerate(trips, start=1):
             for b, tb in enumerate(trips, start=1):
                 if a != b:
-                    assert inst.distance(a, b) == haversine(ta.dropoff, tb.pickup)
+                    assert reference.distance(inst, a, b) == haversine(ta.dropoff, tb.pickup)
 
     def test_dense_city_log_equals_scalar_haversine(self):
         # about 32k entries: enough that a kernel squaring with x * x

@@ -20,8 +20,8 @@ import reference
 from conftest import uniform_instance
 
 
-def _explicit(matrix, depot=0, name="fixture"):
-    return RoutingInstance(name=name, dist=np.array(matrix, float), depot=depot)
+def _explicit(matrix, name="fixture"):
+    return RoutingInstance(name=name, dist=np.array(matrix, float))
 
 
 # Hand-simulated 6-node fixture, m=2, visibility 2, budget ceil(5/2)=3.
@@ -110,7 +110,7 @@ def test_full_visibility_closest_matches_static_oracle():
         sched = build_schedule(DynamicsScope.relative(1.0), inst, m=m)
         out = bd_cvh(inst, Fleet(m=m), sched)
         oracle_routes = reference.static_closest_vehicle(
-            inst.full_matrix(), inst.depot, m, cap=11
+            reference.full_matrix(inst), inst.depot, m, cap=11
         )
         assert [list(r) for r in out.routes] == oracle_routes
 
@@ -222,9 +222,9 @@ def test_route_lengths_equal_per_leg_distances_bit_for_bit(kind, n, closed):
     for route in routes:
         length = 0.0
         for a, b in zip(route, route[1:]):
-            length += inst.distance(a, b)
+            length += reference.distance(inst, a, b)
         if closed and len(route) > 1:
-            length += inst.distance(route[-1], route[0])
+            length += reference.distance(inst, route[-1], route[0])
         want.append(length)
     lengths, total = route_lengths(routes, inst, closed)
     assert [v.hex() for v in lengths] == [v.hex() for v in want]

@@ -1,12 +1,17 @@
-"""Public surface: exported names resolve and every caller shares one registry."""
+"""Public surface: exported names resolve, every caller shares one registry,
+and the names the benchmark tracer rebinds exist."""
 
 import argparse
 import importlib
+import pathlib
+import sys
 
 import pytest
 
 import bdmtsp.harness
-from bdmtsp import cli, solvers
+from bdmtsp import cam, cli, solvers
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 MODULES = ("assignment", "cam", "core", "geometry", "harness", "io", "solvers", "warehouse")
 
@@ -18,19 +23,54 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
-def test_cli_algorithm_choices_come_from_the_registry():
+def _choices(dest):
+    """The choices of option ``dest`` per subcommand that has it."""
     parser = cli.build_parser()
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    choices = {
+    return {
         command: action.choices
         for command, sub in subparsers.choices.items()
         for action in sub._actions
-        if action.dest == "algorithm"
+        if action.dest == dest
     }
+
+
+def test_cli_algorithm_choices_come_from_the_registry():
+    choices = _choices("algorithm")
     assert set(choices) == {"solve", "sweep", "warehouse", "taxi"}
     assert all(c == tuple(solvers.ALGORITHMS) for c in choices.values())
+
+
+def test_cli_published_choices_come_from_the_models():
+    choices = _choices("published")
+    assert choices == {"cam-predict": ("3f", "9f", "16f")}
+    assert {f"published_{c}" for c in choices["cam-predict"]} == set(cam.published_models())
 
 
 def test_harness_indexes_the_solver_registry_itself():
     # perfbench/layers.py rebinds the entries of this dict to trace solves
     assert bdmtsp.harness._ALGORITHMS is solvers.ALGORITHMS
+
+
+def test_perfbench_tracer_rebinds_and_restores_every_target(monkeypatch):
+    # the per-layer tracer wraps package attributes by name: a deleted
+    # or renamed one would break traced benchmark runs
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "layers", raising=False)
+    layers = importlib.import_module("layers")
+    monkeypatch.delitem(sys.modules, "layers")
+    tracer = layers.Tracer()
+    targets = tracer._targets()
+
+    def bound():
+        return [
+            owner.get(attr) if isinstance(owner, dict) else getattr(owner, attr, None)
+            for owner, attr, _ in targets
+        ]
+
+    originals = bound()
+    assert [attr for (_, attr, _), fn in zip(targets, originals) if fn is None] == []
+    with tracer.installed():
+        wrapped = bound()
+    assert all(w is not o for w, o in zip(wrapped, originals))
+    assert all(r is o for r, o in zip(bound(), originals))

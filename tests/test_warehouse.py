@@ -9,7 +9,6 @@ from bdmtsp.warehouse import (
     AisleSpec,
     TransferJob,
     WarehouseNetwork,
-    dump_layout,
     expand_route,
     grid_network,
     jobs_to_instance,
@@ -22,6 +21,7 @@ from bdmtsp.warehouse import (
 )
 
 import reference
+from conftest import layout_text
 
 
 def _random_net(rng, n, extra=None):
@@ -262,7 +262,7 @@ def test_parse_layout_with_defaults_and_comments():
 
 def test_layout_roundtrip():
     net = grid_network(2, 3, AisleSpec(shelf_len=1.2))
-    again = parse_layout(dump_layout(net))
+    again = parse_layout(layout_text(net))
     assert again.node_ids == net.node_ids
     assert again.edges == net.edges
 
