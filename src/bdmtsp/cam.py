@@ -5,9 +5,9 @@ tour length.  Features are the monomials m^p1 * n^p2 * d^p3 of
 ``TERMS``; models are ordinary least squares fits over those features,
 thinned by backward stepwise selection.  Three published coefficient
 sets are embedded for direct prediction.  They predict closed-walk
-means (every route returns to the depot), while ``bdmtsp sweep``
-records open walks unless run with ``--closed``: compare the published
-models only against closed sweeps.
+means (every route returns to the depot).  A sweep result carries the
+open and the closed means of the same solves, so the published models
+are compared with, and ``bdmtsp cam-fit`` fits, the closed means.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BdmtspError
+from .core import BdmtspError, _is_count
 
 __all__ = [
     "TERMS",
@@ -60,8 +60,11 @@ class Configuration:
     d: int
 
     def __post_init__(self) -> None:
-        if min(self.m, self.n, self.d) < 1:
-            raise BdmtspError("configuration components must be >= 1")
+        if not all(map(_is_count, (self.m, self.n, self.d))):
+            raise BdmtspError(
+                f"configuration components must be >= 1 and ints, got "
+                f"{(self.m, self.n, self.d)!r}"
+            )
 
 
 def _monomials(config: Configuration, terms) -> list[float]:
@@ -312,15 +315,23 @@ def sweep_configs() -> tuple[Configuration, ...]:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Mean observed lengths for a configuration list."""
+    """Mean observed lengths for a configuration list, in both walk modes.
+
+    ``y`` holds the open-walk means and ``y_closed`` the closed-walk
+    means of the same solves.  A result read from a sweep CSV of the old
+    open-only format has neither closed means nor an algorithm (None).
+    """
 
     configs: tuple[Configuration, ...]
     y: tuple[float, ...]
     reps: int
     seed: int
+    y_closed: tuple[float, ...] | None = None
+    algorithm: str | None = None
 
     def __post_init__(self) -> None:
-        if len(self.configs) != len(self.y):
+        closed = self.y if self.y_closed is None else self.y_closed
+        if not len(self.configs) == len(self.y) == len(closed):
             raise BdmtspError("configs and responses must align")
 
 
@@ -424,38 +435,69 @@ def model_from_json(text: str) -> CamModel:
         raise BdmtspError(f"invalid model JSON: {exc}") from None
 
 
+# The sweep CSV: one row per configuration.  The old open-only form is
+# still read, as open walks.
+_SWEEP_HEADER = "m,n,d,open_mean,closed_mean,reps,seed,algorithm"
+_OPEN_ONLY_HEADER = "m,n,d,mean_len,reps,seed"
+
+
 def sweep_to_csv(result: SweepResult) -> str:
-    lines = ["m,n,d,mean_len,reps,seed"]
-    for config, value in zip(result.configs, result.y):
+    if result.y_closed is None or result.algorithm is None:
+        raise BdmtspError("only a sweep with closed means and an algorithm is written")
+    lines = [_SWEEP_HEADER]
+    for config, open_mean, closed_mean in zip(result.configs, result.y, result.y_closed):
         lines.append(
-            f"{config.m},{config.n},{config.d},{value!r},{result.reps},{result.seed}"
+            f"{config.m},{config.n},{config.d},{open_mean!r},{closed_mean!r},"
+            f"{result.reps},{result.seed},{result.algorithm}"
         )
     return "\n".join(lines) + "\n"
 
 
 def sweep_from_csv(text: str) -> SweepResult:
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "m,n,d,mean_len,reps,seed":
-        raise BdmtspError("sweep CSV must start with header m,n,d,mean_len,reps,seed")
+    header = lines[0].strip() if lines else ""
+    if header not in (_SWEEP_HEADER, _OPEN_ONLY_HEADER):
+        raise BdmtspError(
+            f"sweep CSV must start with header {_SWEEP_HEADER} "
+            f"(or the open-only {_OPEN_ONLY_HEADER})"
+        )
+    names = header.split(",")
+    mean_names = [name for name in names if "mean" in name]
     configs = []
-    values = []
+    means = []  # per row: (open,) or (open, closed)
     runs = set()
     for ln in lines[1:]:
         fields = ln.split(",")
-        if len(fields) != 6:
-            raise BdmtspError(f"sweep CSV row needs 6 fields: {ln!r}")
-        m, n, d, value, reps, seed = fields
+        if len(fields) != len(names):
+            raise BdmtspError(f"sweep CSV row needs {len(names)} fields: {ln!r}")
+        row = dict(zip(names, fields))
         try:
-            m, n, d, reps, seed = int(m), int(n), int(d), int(reps), int(seed)
-            value = float(value)
+            m, n, d, reps, seed = (int(row[k]) for k in ("m", "n", "d", "reps", "seed"))
+            values = tuple(float(row[k]) for k in mean_names)
         except ValueError:
             raise BdmtspError(f"bad sweep CSV row: {ln!r}") from None
+        algorithm = row.get("algorithm")
+        if reps < 1 or seed < 0 or algorithm == "" or not all(
+            math.isfinite(v) and v > 0 for v in values
+        ):
+            raise BdmtspError(
+                f"sweep CSV row needs finite positive means, reps >= 1, seed >= 0 "
+                f"and an algorithm: {ln!r}"
+            )
         configs.append(Configuration(m=m, n=n, d=d))
-        values.append(value)
-        runs.add((reps, seed))
+        means.append(values)
+        runs.add((reps, seed, algorithm))
     if not configs:
         raise BdmtspError("sweep CSV contains no rows")
     if len(runs) > 1:
-        raise BdmtspError("sweep CSV rows disagree on reps/seed")
-    reps, seed = runs.pop()
-    return SweepResult(configs=tuple(configs), y=tuple(values), reps=reps, seed=seed)
+        raise BdmtspError("sweep CSV rows disagree on reps/seed/algorithm")
+    reps, seed, algorithm = runs.pop()
+    columns = tuple(zip(*means))
+    return SweepResult(
+        configs=tuple(configs),
+        y=columns[0],
+        reps=reps,
+        seed=seed,
+        y_closed=columns[1] if len(columns) > 1 else None,
+        algorithm=algorithm,
+    )

@@ -83,13 +83,13 @@ def _cmd_sweep(args) -> int:
         reps=args.reps,
         seed=args.seed,
         algorithm=args.algorithm,
-        closed=args.closed,
         workers=args.workers,
     )
     if args.gap:
-        gap = compare_sweep(spec)
+        open_gap, closed_gap = compare_sweep(spec)
         print(f"configs {len(configs)}, reps {args.reps}: "
-              f"mean (closest - assignment)/assignment = {gap:+.4%}")
+              f"mean (closest - assignment)/assignment = {open_gap:+.4%} open, "
+              f"{closed_gap:+.4%} closed")
         return 0
     result = run_sweep(spec)
     text = cam.sweep_to_csv(result)
@@ -107,7 +107,15 @@ def _cmd_cam_fit(args) -> int:
     p = X.shape[1]
     if args.keep is not None and not 1 <= args.keep <= p:
         raise BdmtspError(f"--keep must lie in 1..{p}, got {args.keep}")
-    y = np.asarray(result.y)
+    # the published models were fitted on closed walks
+    if result.y_closed is None:
+        y = np.asarray(result.y)
+        print(f"fitting open-walk means: {args.sweep} has no closed means "
+              f"(seed {result.seed}, reps {result.reps})")
+    else:
+        y = np.asarray(result.y_closed)
+        print(f"fitting closed-walk means of {result.algorithm} "
+              f"(seed {result.seed}, reps {result.reps})")
     steps = cam.backward_select(X, y)
     print(f"{'features':>8} {'rmse':>9} {'mape':>8} {'cp':>9} {'bic':>10}")
     for step in steps:
@@ -216,18 +224,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--algorithm", choices=tuple(ALGORITHMS), default="avh")
-    p.add_argument("--closed", action="store_true")
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--m-list", help="comma-separated fleet sizes (default 1..7)")
     p.add_argument("--n-list", help="comma-separated customer counts")
     p.add_argument("--d-list", help="comma-separated visibilities")
     p.add_argument("--gap", action="store_true",
-                   help="report mean paired closest-vs-assignment difference "
-                   "instead of totals")
+                   help="report the mean paired closest-vs-assignment difference "
+                   "on open and on closed walks instead of totals")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("cam-fit", help="fit approximation models to a sweep CSV")
+    p = sub.add_parser("cam-fit", help="fit approximation models to a sweep CSV's "
+                       "closed-walk means (open means of an old open-only file)")
     p.add_argument("--sweep", required=True, help="CSV from the sweep subcommand")
     p.add_argument("--keep", type=int, default=None,
                    help="feature count to persist (default: best BIC)")

@@ -2,13 +2,15 @@
 
 Sweeps run the balanced dynamic heuristics over a grid of (fleet,
 customers, visibility) configurations on fresh uniform instances and
-record mean open totals.  Seeding is splittable per (seed, config,
-rep), so serial and parallel runs produce identical results.
+record mean totals in both walk modes: every solve reports its open
+total and, from the same routes, its closed total.  Seeding is
+splittable per (seed, config, rep), so serial and parallel runs produce
+identical results.  Published table cells are judged on closed walks,
+the mode the tables were computed with.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -19,6 +21,7 @@ import numpy as np
 from .cam import Configuration, SweepResult
 from .core import (
     _SCOPE_KINDS,
+    _is_count,
     BdmtspError,
     DynamicsScope,
     Fleet,
@@ -81,38 +84,47 @@ class ExperimentSpec:
     reps: int = 10
     seed: int = 0
     algorithm: str = "avh"
-    closed: bool = False
     workers: int | None = None
 
     def __post_init__(self) -> None:
-        if self.reps < 1:
-            raise BdmtspError("need at least one repetition")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise BdmtspError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not _is_count(self.reps):
+            raise BdmtspError(f"need an integer number of repetitions >= 1, got {self.reps!r}")
         if self.algorithm not in _ALGORITHMS:
             raise BdmtspError(f"unknown algorithm {self.algorithm!r}")
         if not self.configs:
             raise BdmtspError("need at least one configuration")
 
 
-def _solve_task(args) -> tuple[float, ...]:
-    """Totals of each named algorithm on one replayable sweep instance.
+def _solve(name: str, instance: RoutingInstance, fleet: Fleet, schedule):
+    """One solve by algorithm ``name``: its open routes and their closed total.
 
-    ``args`` is ``(seed, ci, rep, config, algorithms, closed)``; every
-    algorithm runs on the same instance and schedule.
+    Closing a walk adds the leg back to the depot; it changes the walk's
+    length, not its route, so one solve gives the totals of both modes.
     """
-    seed, ci, rep, config, algorithms, closed = args
+    routes = _ALGORITHMS[name](instance, fleet, schedule)
+    return routes, route_lengths(routes.routes, instance, closed=True)[1]
+
+
+def _solve_task(args) -> tuple[tuple[float, float], ...]:
+    """(open, closed) totals of each named algorithm on one sweep instance.
+
+    ``args`` is ``(seed, ci, rep, config, algorithms)``; every algorithm
+    runs once on the same replayable instance and schedule.
+    """
+    seed, ci, rep, config, algorithms = args
     instance = instance_for(seed, ci, rep, config.n)
     fleet = Fleet(m=config.m)
     schedule = build_schedule(DynamicsScope.absolute(config.d), instance, config.m)
-    return tuple(
-        _ALGORITHMS[name](instance, fleet, schedule, closed=closed).total
-        for name in algorithms
-    )
+    solves = (_solve(name, instance, fleet, schedule) for name in algorithms)
+    return tuple((routes.total, closed_total) for routes, closed_total in solves)
 
 
 def _sweep_totals(spec: ExperimentSpec, algorithms: tuple[str, ...]) -> list:
     """``_solve_task`` results for every (config, rep), in that order."""
     tasks = [
-        (spec.seed, ci, rep, config, algorithms, spec.closed)
+        (spec.seed, ci, rep, config, algorithms)
         for ci, config in enumerate(spec.configs)
         for rep in range(spec.reps)
     ]
@@ -134,32 +146,43 @@ def _usable_cpus() -> int:
 
 
 def run_sweep(spec: ExperimentSpec) -> SweepResult:
-    """Solve every configuration reps times; record mean totals.
+    """Solve every configuration reps times; record mean open and closed totals.
 
     Task seeding depends only on (seed, config index, rep), never on
     scheduling, so the means are invariant to ``workers``.
     """
-    values = [total for (total,) in _sweep_totals(spec, (spec.algorithm,))]
-    means = []
-    for ci in range(len(spec.configs)):
-        chunk = values[ci * spec.reps : (ci + 1) * spec.reps]
-        means.append(float(np.mean(chunk)))
+    open_totals, closed_totals = zip(
+        *(pair for (pair,) in _sweep_totals(spec, (spec.algorithm,)))
+    )
+
+    def means(totals) -> tuple[float, ...]:
+        return tuple(
+            float(np.mean(totals[i : i + spec.reps]))
+            for i in range(0, len(totals), spec.reps)
+        )
+
     return SweepResult(
-        configs=spec.configs, y=tuple(means), reps=spec.reps, seed=spec.seed
+        configs=spec.configs,
+        y=means(open_totals),
+        reps=spec.reps,
+        seed=spec.seed,
+        y_closed=means(closed_totals),
+        algorithm=spec.algorithm,
     )
 
 
-def compare_sweep(spec: ExperimentSpec) -> float:
+def compare_sweep(spec: ExperimentSpec) -> tuple[float, float]:
     """Mean paired relative difference (closest - assignment) / assignment.
 
-    Positive values mean the assignment policy produced shorter routes
-    on the same instances.
+    Returns the gap on open walks and the gap on closed walks, both from
+    the same solves.  Positive values mean the assignment policy
+    produced shorter routes on the same instances.
     """
-    deltas = [
-        relative_difference(avh, cvh)
-        for avh, cvh in _sweep_totals(spec, ("avh", "cvh"))
-    ]
-    return float(np.mean(deltas))
+    totals = _sweep_totals(spec, ("avh", "cvh"))
+    return tuple(
+        float(np.mean([relative_difference(avh[mode], cvh[mode]) for avh, cvh in totals]))
+        for mode in (0, 1)
+    )
 
 
 def parse_scope(text: str) -> DynamicsScope:
@@ -239,23 +262,30 @@ _SET2_ABSOLUTE = (
     ),
 )
 
-_TABLES = {"set1-relative": _SET1_RELATIVE, "set2-absolute": _SET2_ABSOLUTE}
+# Each table with the unit of its printed last digit: set1 prints
+# thousands to one decimal, set2 prints one decimal.  A cell passes when
+# its closed total lies within half that unit of the published value.
+_TABLES = {
+    "set1-relative": (_SET1_RELATIVE, 100.0),
+    "set2-absolute": (_SET2_ABSOLUTE, 0.1),
+}
 TABLE_IDS = tuple(_TABLES)
 
-# Hard gates: (table, instance, m, scope kind, scope value, algorithm,
-# published, relative tolerance).  A gate passes when either closure
-# mode lands within tolerance.
-_GATES = (
-    ("set1-relative", "berlin52.tsp", 5, "relative", 1.00, "avh", 13600.0, 0.02),
-    ("set1-relative", "berlin52.tsp", 5, "relative", 1.00, "cvh", 13600.0, 0.02),
-    ("set2-absolute", "eil51.tsp", 2, "m_absolute", 0.5, "avh", 1251.6, 0.01),
-    ("set2-absolute", "eil51.tsp", 2, "m_absolute", 0.5, "cvh", 1251.6, 0.01),
-)
+# Named expected deviations, keyed by ``_cell``: cells whose closed total
+# misses the published value, each pinned to its computed closed total as
+# printed (one decimal), so any change that moves one fails its gate.
+# The cause of the berlin52 one (-1.82%) is open; ROADMAP.md lists what
+# has been ruled out.
+_DEVIATIONS = {"berlin52.tsp m=5 relative=1 avh": 13353.1}
+_PIN_UNIT = 0.1
 
 
 @dataclass(frozen=True)
 class TableRow:
-    """One published cell next to both recomputed closure modes."""
+    """One published cell next to its recomputed open and closed totals.
+
+    Only ``computed_closed`` is gated; ``computed_open`` is information.
+    """
 
     instance: str
     m: int
@@ -266,16 +296,32 @@ class TableRow:
     computed_closed: float
 
     @property
-    def rel_err_open(self) -> float:
-        return (self.computed_open - self.published) / self.published
-
-    @property
     def rel_err_closed(self) -> float:
         return (self.computed_closed - self.published) / self.published
 
-    @property
-    def best_rel_err(self) -> float:
-        return min(self.rel_err_open, self.rel_err_closed, key=abs)
+
+def _cell(row: TableRow) -> str:
+    return f"{row.instance} m={row.m} {row.scope.kind}={row.scope.value:g} {row.algorithm}"
+
+
+def _gate(row: TableRow, unit: float) -> tuple[str, bool, float]:
+    """(label, passed, closed relative error) of one cell.
+
+    The closed total must lie within half a unit of the last digit of the
+    published value, or of the pin of a named deviation.
+    """
+    label = _cell(row)
+    pinned = _DEVIATIONS.get(label)
+    if pinned is None:
+        target, label = row.published, f"{label} vs {row.published:g}"
+    else:
+        target, unit = pinned, _PIN_UNIT
+        label += (
+            f": expected deviation, published {row.published:g}, computed "
+            f"{row.computed_closed:.1f} (pinned {pinned:g} ±{_PIN_UNIT / 2:g}), "
+            "cause still open"
+        )
+    return label, abs(row.computed_closed - target) <= unit / 2, row.rel_err_closed
 
 
 @dataclass(frozen=True)
@@ -283,11 +329,11 @@ class TableReport:
     table_id: str
     rows: tuple[TableRow, ...]
     missing: tuple[str, ...]
-    gates: tuple[tuple[str, bool, float], ...]  # (label, passed, best rel err)
+    gates: tuple[tuple[str, bool, float], ...]  # _gate of each row, in row order
 
     @property
     def ok(self) -> bool:
-        return all(passed for _, passed, _ in self.gates)
+        return not self.missing and all(passed for _, passed, _ in self.gates)
 
     def to_text(self) -> str:
         lines = [f"table {self.table_id}"]
@@ -298,34 +344,43 @@ class TableReport:
             return "\n".join(lines)
         header = (
             f"{'instance':<12} {'m':>2} {'scope':>16} {'algo':>4} "
-            f"{'published':>11} {'open':>11} {'closed':>11} {'best err':>9}"
+            f"{'published':>11} {'open':>11} {'closed':>11} {'closed err':>10} state"
         )
         lines.append(header)
-        for row in self.rows:
+        deviations = []
+        for row, (label, passed, err) in zip(self.rows, self.gates):
+            deviation = _cell(row) in _DEVIATIONS
+            if deviation:
+                deviations.append(label)
+            state = "FAIL" if not passed else "deviation" if deviation else "pass"
             scope = f"{row.scope.kind}={row.scope.value:g}"
             lines.append(
                 f"{row.instance:<12} {row.m:>2} {scope:>16} {row.algorithm:>4} "
                 f"{row.published:>11.1f} {row.computed_open:>11.1f} "
-                f"{row.computed_closed:>11.1f} {row.best_rel_err:>8.2%}"
+                f"{row.computed_closed:>11.1f} {err:>+10.2%} {state}"
             )
-        for label, passed, err in self.gates:
-            state = "pass" if passed else "FAIL"
-            lines.append(f"gate [{state}] {label} (best err {err:+.2%})")
+        n_passed = sum(passed for _, passed, _ in self.gates)
+        unit = _TABLES[self.table_id][1]
+        lines.append(
+            f"closed walks: {n_passed} of {len(self.gates)} gates pass (half a unit "
+            f"of the last printed digit: ±{unit / 2:g})"
+            + "".join(f"; {label}" for label in deviations)
+        )
         return "\n".join(lines)
 
 
 def reproduce_table(table_id: str, data_dir) -> TableReport:
     """Recompute one published table from local instance files.
 
-    Emits published vs computed totals (open and closed walks) with
-    relative errors; instance files that are not present are listed
-    rather than failing the whole run.  Reveal order is the node order
-    of the instance file; ties in both heuristics break toward the
-    lowest index, which is an assumption the original tables do not pin
-    down.
+    Emits published vs computed totals of both walk modes from one solve
+    per cell, and gates every cell on its closed total (see ``_gate``);
+    instance files that are not present are listed rather than failing
+    the whole run.  Reveal order is the node order of the instance file;
+    ties in both heuristics break toward the lowest index, which is an
+    assumption the original tables do not pin down.
     """
     try:
-        blocks = _TABLES[table_id]
+        blocks, unit = _TABLES[table_id]
     except KeyError:
         raise BdmtspError(
             f"unknown table {table_id!r}; known: {', '.join(TABLE_IDS)}"
@@ -345,9 +400,7 @@ def reproduce_table(table_id: str, data_dir) -> TableReport:
             scope = DynamicsScope(kind, value)
             schedule = build_schedule(scope, instance, m)
             for algorithm, pub_values in sorted(published.items()):
-                # closing the walks changes their lengths, not the routes
-                open_rs = _ALGORITHMS[algorithm](instance, fleet, schedule)
-                _, closed_total = route_lengths(open_rs.routes, instance, closed=True)
+                routes, closed_total = _solve(algorithm, instance, fleet, schedule)
                 rows.append(
                     TableRow(
                         instance=fname,
@@ -355,29 +408,13 @@ def reproduce_table(table_id: str, data_dir) -> TableReport:
                         scope=scope,
                         algorithm=algorithm,
                         published=float(pub_values[idx]),
-                        computed_open=open_rs.total,
+                        computed_open=routes.total,
                         computed_closed=closed_total,
                     )
                 )
-    gates = []
-    for g_table, g_file, g_m, g_kind, g_value, g_algo, g_pub, g_tol in _GATES:
-        if g_table != table_id:
-            continue
-        label = f"{g_file} m={g_m} {g_kind}={g_value:g} {g_algo} vs {g_pub:g}"
-        match = [
-            r
-            for r in rows
-            if r.instance == g_file
-            and r.m == g_m
-            and r.scope.kind == g_kind
-            and r.scope.value == g_value
-            and r.algorithm == g_algo
-        ]
-        if not match:
-            gates.append((label + " (instance file missing)", False, math.nan))
-            continue
-        err = match[0].best_rel_err
-        gates.append((label, abs(err) <= g_tol, err))
     return TableReport(
-        table_id=table_id, rows=tuple(rows), missing=tuple(missing), gates=tuple(gates)
+        table_id=table_id,
+        rows=tuple(rows),
+        missing=tuple(missing),
+        gates=tuple(_gate(row, unit) for row in rows),
     )

@@ -200,13 +200,14 @@ def test_criterion_07_policy_gap_band():
         for d in (5, 10, 15, 20, 25, 30)
     )
     spec = ExperimentSpec(configs=configs, reps=5, seed=2026, workers=_WORKERS)
-    gap = compare_sweep(spec)
+    gap, closed_gap = compare_sweep(spec)
     ok = 0.005 <= gap <= 0.035
     _verdict(
         7,
         "mean closest-vs-assignment gap in [0.5%, 3.5%] on a desk-scale sweep",
         ok,
-        f"{len(configs)} configs x 5 reps: gap {gap:+.3%}",
+        f"{len(configs)} configs x 5 reps: open-walk gap {gap:+.3%} "
+        f"(closed walks {closed_gap:+.3%})",
     )
 
 
@@ -240,21 +241,23 @@ def test_criterion_09_table_reproduction(data_dir):
         reproduce_table("set1-relative", data_dir),
         reproduce_table("set2-absolute", data_dir),
     ]
-    ok = all(r.ok and not r.missing for r in reports)
-    gate_bits = []
-    for report in reports:
-        for label, passed, err in report.gates:
-            gate_bits.append(f"{label}: {err:+.2%} {'ok' if passed else 'OUT'}")
-    worst = max(
-        (abs(row.best_rel_err) for r in reports for row in r.rows), default=math.nan
+    gates = [(label, passed, err) for r in reports for label, passed, err in r.gates]
+    deviations = [label for label, _, _ in gates if "expected deviation" in label]
+    n_passed = sum(passed for _, passed, _ in gates)
+    worst = max(abs(err) for label, _, err in gates if label not in deviations)
+    ok = (
+        all(r.ok and not r.missing and len(r.gates) == len(r.rows) for r in reports)
+        and n_passed == len(gates) == 50
+        and len(deviations) == 1
     )
     _verdict(
         9,
-        "published totals reproduce within tolerance "
-        "(closed walks, file order, lowest-index ties)",
+        "every published cell reproduces on closed walks within half a unit of "
+        "its last printed digit, one named deviation pinned "
+        "(file order, lowest-index ties)",
         ok,
-        "; ".join(gate_bits) + f"; worst best-mode error across all "
-        f"{sum(len(r.rows) for r in reports)} cells {worst:.2%}",
+        f"{n_passed} of {len(gates)} gates pass; worst closed error of the other "
+        f"{len(gates) - len(deviations)} cells {worst:.3%}; " + "; ".join(deviations),
     )
 
 

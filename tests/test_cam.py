@@ -99,6 +99,14 @@ class TestFeatureMap:
         with pytest.raises(BdmtspError):
             Configuration(0, 50, 5)
 
+    @pytest.mark.parametrize(
+        "mnd", [(math.nan, 100, 15), (1.5, 100, 15), (True, 100, 15),
+                (3, 100.0, 15), (3, 100, math.inf)]
+    )
+    def test_configuration_components_are_counts(self, mnd):
+        with pytest.raises(BdmtspError, match="must be >= 1 and ints"):
+            Configuration(*mnd)
+
 
 class TestFitOls:
     def test_exact_recovery(self):
@@ -387,15 +395,59 @@ class TestPersistence:
     def test_sweep_csv_round_trip_is_exact(self):
         configs = sweep_configs()[:5]
         y = (10.123456789012345, 2.0, 3.5, 1e-7, 123456.78901)
-        result = SweepResult(configs=configs, y=y, reps=10, seed=42)
-        again = sweep_from_csv(sweep_to_csv(result))
-        assert again == result
+        y_closed = (11.0, 2.5000000000000004, 3.75, 2e-7, 123457.5)
+        result = SweepResult(
+            configs=configs, y=y, reps=10, seed=42, y_closed=y_closed, algorithm="cvh"
+        )
+        text = sweep_to_csv(result)
+        assert text.splitlines()[:2] == [
+            "m,n,d,open_mean,closed_mean,reps,seed,algorithm",
+            f"1,50,5,{y[0]!r},11.0,10,42,cvh",
+        ]
+        assert sweep_from_csv(text) == result
+
+    def test_sweep_csv_needs_closed_means_to_write(self):
+        with pytest.raises(BdmtspError, match="closed means"):
+            sweep_to_csv(SweepResult(configs=sweep_configs()[:1], y=(1.0,), reps=1, seed=0))
+
+    def test_old_sweep_csv_reads_as_open_walks(self):
+        text = "m,n,d,mean_len,reps,seed\n1,50,5,2.5,10,0\n2,50,5,3.5,10,0\n"
+        assert sweep_from_csv(text) == SweepResult(
+            configs=(Configuration(1, 50, 5), Configuration(2, 50, 5)),
+            y=(2.5, 3.5),
+            reps=10,
+            seed=0,
+        )
 
     def test_sweep_csv_header_required(self):
         with pytest.raises(BdmtspError):
             sweep_from_csv("a,b,c\n1,2,3\n")
         with pytest.raises(BdmtspError):
             sweep_from_csv("m,n,d,mean_len,reps,seed\n")
+        with pytest.raises(BdmtspError):
+            sweep_from_csv("m,n,d,open_mean,closed_mean,reps,seed,algorithm\n")
+        with pytest.raises(BdmtspError, match="header"):  # a mix of the two
+            sweep_from_csv("m,n,d,mean_len,closed_mean,reps,seed\n1,50,5,2.5,3.0,1,0\n")
+
+    @pytest.mark.parametrize(
+        "header,rows",
+        [
+            ("m,n,d,mean_len,reps,seed", ["1,50,5,-3.5,0,-7", "2,50,5,inf,0,-7"]),
+            ("m,n,d,mean_len,reps,seed", ["1,50,5,0.0,10,0"]),
+            ("m,n,d,mean_len,reps,seed", ["1,50,5,nan,10,0"]),
+            ("m,n,d,mean_len,reps,seed", ["1,50,5,2.5,0,0"]),
+            ("m,n,d,mean_len,reps,seed", ["1,50,5,2.5,10,-1"]),
+            ("m,n,d,open_mean,closed_mean,reps,seed,algorithm", ["1,50,5,2.5,-inf,10,0,avh"]),
+            ("m,n,d,open_mean,closed_mean,reps,seed,algorithm", ["1,50,5,-2.5,3.0,10,0,avh"]),
+            ("m,n,d,open_mean,closed_mean,reps,seed,algorithm", ["1,50,5,2.5,nan,10,0,avh"]),
+            ("m,n,d,open_mean,closed_mean,reps,seed,algorithm", ["1,50,5,2.5,3.0,0,0,avh"]),
+            ("m,n,d,open_mean,closed_mean,reps,seed,algorithm", ["1,50,5,2.5,3.0,1,0,"]),
+        ],
+    )
+    def test_sweep_csv_rejects_values_no_sweep_writes(self, header, rows):
+        with pytest.raises(BdmtspError, match="sweep CSV row") as exc:
+            sweep_from_csv("\n".join([header, *rows]) + "\n")
+        assert rows[0] in str(exc.value)
 
     @pytest.mark.parametrize("row", ["1,50", "1,50,5,2.5,10,0,7", "1,50,x,2.5,10,0"])
     def test_sweep_csv_malformed_row_rejected(self, row):
@@ -409,9 +461,20 @@ class TestPersistence:
         with pytest.raises(BdmtspError, match="reps/seed"):
             sweep_from_csv(text)
 
+    def test_sweep_csv_rows_must_share_the_algorithm(self):
+        text = (
+            "m,n,d,open_mean,closed_mean,reps,seed,algorithm\n"
+            "1,50,5,2.5,3.0,10,0,avh\n1,60,5,2.5,3.0,10,0,cvh\n"
+        )
+        with pytest.raises(BdmtspError, match="algorithm"):
+            sweep_from_csv(text)
+
     def test_sweep_alignment_enforced(self):
         with pytest.raises(BdmtspError):
             SweepResult(configs=sweep_configs()[:3], y=(1.0,), reps=1, seed=0)
+        with pytest.raises(BdmtspError):
+            SweepResult(configs=sweep_configs()[:1], y=(1.0,), reps=1, seed=0,
+                        y_closed=(1.0, 2.0))
 
 
 class TestCamModelValidation:

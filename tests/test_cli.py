@@ -11,8 +11,10 @@ from bdmtsp import cli
 from bdmtsp.cam import (
     TERMS,
     Configuration,
+    backward_select,
     feature_matrix,
     model_from_json,
+    step_model,
     sweep_configs,
     sweep_from_csv,
     sweep_to_csv,
@@ -160,10 +162,12 @@ class TestSweep:
              "--reps", "2", "--seed", "3", "--out", str(out)]
         )
         assert rc == 0
-        result = sweep_from_csv(out.read_text())
+        text = out.read_text()
+        assert text.startswith("m,n,d,open_mean,closed_mean,reps,seed,algorithm\n")
+        result = sweep_from_csv(text)
         assert result.configs == (Configuration(2, 30, 5), Configuration(2, 40, 5))
-        assert result.reps == 2 and result.seed == 3
-        assert all(v > 0 for v in result.y)
+        assert result.reps == 2 and result.seed == 3 and result.algorithm == "avh"
+        assert all(0 < o < c for o, c in zip(result.y, result.y_closed))
 
     def test_matches_library_call(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -199,7 +203,21 @@ class TestSweep:
                        "--reps", "2", "--seed", "1", "--gap"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "closest - assignment" in out and "%" in out
+        assert "closest - assignment" in out
+        assert "% open, " in out and out.rstrip().endswith("% closed")
+
+    def test_closed_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--closed", "--m-list", "1", "--n-list", "50",
+                      "--d-list", "5", "--reps", "1"])
+        assert exc.value.code == 2
+        assert "--closed" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, capsys):
+        rc = cli.main(["sweep", "--seed", "-1", "--m-list", "1", "--n-list", "50",
+                       "--d-list", "5", "--reps", "1"])
+        assert rc == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--m-list", "--n-list", "--d-list"])
     def test_bad_list_token_exits_2(self, flag, capsys):
@@ -225,19 +243,31 @@ class TestCamCommands:
             for n in (30, 40, 50, 60)
             for d in (3, 5, 8, 10, 15)
         )
+        result = run_sweep(ExperimentSpec(configs=configs, reps=1, seed=5))
         sweep_csv = tmp_path / "sweep.csv"
-        sweep_csv.write_text(
-            sweep_to_csv(run_sweep(ExperimentSpec(configs=configs, reps=1, seed=5)))
+        sweep_csv.write_text(sweep_to_csv(result))
+        # the same open means in the old open-only format
+        old_csv = tmp_path / "old.csv"
+        old_csv.write_text(
+            "m,n,d,mean_len,reps,seed\n"
+            + "".join(f"{c.m},{c.n},{c.d},{v!r},1,5\n" for c, v in zip(configs, result.y))
         )
+        X = feature_matrix(configs)
         model_path = tmp_path / "model.json"
-        rc = cli.main(["cam-fit", "--sweep", str(sweep_csv), "--keep", "3",
-                       "--out", str(model_path)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "features" in out and "mape" in out and "cp" in out
-        model = model_from_json(model_path.read_text())
-        assert len(model.terms) == 3
-        assert model.provenance == "fitted"
+        for path, y, first_line in (
+            (old_csv, result.y,
+             f"fitting open-walk means: {old_csv} has no closed means (seed 5, reps 1)"),
+            (sweep_csv, result.y_closed, "fitting closed-walk means of avh (seed 5, reps 1)"),
+        ):
+            rc = cli.main(["cam-fit", "--sweep", str(path), "--keep", "3",
+                           "--out", str(model_path)])
+            assert rc == 0
+            out = capsys.readouterr().out
+            assert out.splitlines()[0] == first_line
+            assert "features" in out and "mape" in out and "cp" in out
+            model = model_from_json(model_path.read_text())
+            assert model.terms == step_model(backward_select(X, np.asarray(y))[2]).terms
+            assert model.provenance == "fitted"
 
         rc = cli.main(["cam-predict", "--model", str(model_path), "2", "40", "5"])
         assert rc == 0
@@ -245,7 +275,8 @@ class TestCamCommands:
 
     def test_fit_on_rank_deficient_sweep(self, tmp_path, capsys):
         # `sweep --d-list 10` has 70 rows of rank 16.  The digest is of the
-        # table printed when every candidate was refitted at every stage.
+        # table, fitted on the closed means, printed when every candidate
+        # was refitted at every stage.
         assert cli.main(["sweep", "--d-list", "10", "--reps", "1"]) == 0
         sweep_csv = tmp_path / "sweep.csv"
         sweep_csv.write_text(capsys.readouterr().out)
@@ -256,11 +287,11 @@ class TestCamCommands:
         out = capsys.readouterr().out
         table = out[: out.index("kept 40 features")]
         assert hashlib.sha256(table.encode()).hexdigest() == (
-            "868e1bb16bcdbf4892b98b5f1e2495bfa5f90fdcd32efc848dd716baa1f96a3f"
+            "13968dde1700a157f27515908814aee8e8e75930a39e554120dab88b7d702772"
         )
         result = sweep_from_csv(sweep_csv.read_text())
         kept = reference.refit_selection(
-            feature_matrix(result.configs), np.asarray(result.y)
+            feature_matrix(result.configs), np.asarray(result.y_closed)
         )[39]
         model = model_from_json(model_path.read_text())
         assert [term for term, _ in model.terms] == [TERMS[i] for i in kept]
@@ -390,8 +421,12 @@ class TestReproduceCommand:
         rc = cli.main(["reproduce", "--table", "all", "--data", str(data_dir)])
         out = capsys.readouterr().out
         assert rc == 0
-        assert out.count("gate [pass]") == 4
-        assert "gate [FAIL]" not in out
+        states = [line.rsplit(" ", 1)[1] for line in out.splitlines() if "%" in line]
+        assert states.count("pass") == 49 and states.count("deviation") == 1
+        assert "FAIL" not in out
+        assert "closed walks: 14 of 14 gates pass" in out
+        assert "closed walks: 36 of 36 gates pass" in out
+        assert "expected deviation, published 13600, computed 13353.1" in out
 
     def test_non_utf8_instance_file_exits_2(self, data_dir, tmp_path, capsys):
         text = (data_dir / "eil51.tsp").read_text().replace("NAME : eil51", "NAME : café")

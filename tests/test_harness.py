@@ -87,6 +87,34 @@ class TestRunSweep:
             totals.append(bd_avh(inst, Fleet(m=2), sched).total)
         assert result.y[0] == pytest.approx(np.mean(totals), rel=1e-12)
 
+    def test_closed_means_come_from_the_same_solves(self, monkeypatch):
+        # one call per algorithm and task, in the open mode; the closed
+        # means equal those of closed solves, and the open means those of
+        # open solves, bit for bit
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return bd_avh(*args, **kwargs)
+
+        monkeypatch.setitem(ALGORITHMS, "avh", counted)
+        spec = ExperimentSpec(configs=self.CONFIGS, reps=3, seed=9)
+        result = run_sweep(spec)
+        monkeypatch.undo()
+        assert calls == [{}] * (len(self.CONFIGS) * spec.reps)
+        assert result.algorithm == "avh"
+        for ci, config in enumerate(self.CONFIGS):
+            open_totals, closed_totals = [], []
+            for rep in range(spec.reps):
+                inst = instance_for(9, ci, rep, config.n)
+                sched = build_schedule(DynamicsScope.absolute(config.d), inst, config.m)
+                open_totals.append(bd_avh(inst, Fleet(m=config.m), sched).total)
+                closed = bd_avh(inst, Fleet(m=config.m), sched, closed=True)
+                closed_totals.append(closed.total)
+            assert result.y[ci] == float(np.mean(open_totals))
+            assert result.y_closed[ci] == float(np.mean(closed_totals))
+            assert result.y_closed[ci] > result.y[ci]
+
     def test_parallel_matches_serial(self):
         spec = ExperimentSpec(configs=self.CONFIGS, reps=3, seed=9)
         serial = run_sweep(spec)
@@ -142,6 +170,20 @@ class TestRunSweep:
         with pytest.raises(BdmtspError):
             ExperimentSpec(configs=())
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.0, "3", None])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        with pytest.raises(BdmtspError, match="seed"):
+            ExperimentSpec(configs=self.CONFIGS, seed=seed)
+
+    @pytest.mark.parametrize("reps", [True, 2.5, -1])
+    def test_reps_must_be_a_count(self, reps):
+        with pytest.raises(BdmtspError, match="repetitions"):
+            ExperimentSpec(configs=self.CONFIGS, reps=reps)
+
+    def test_closed_is_not_a_setting(self):
+        with pytest.raises(TypeError):
+            ExperimentSpec(configs=self.CONFIGS, closed=True)
+
 
 class TestCompareSweep:
     def test_deterministic_and_parallel_invariant(self):
@@ -157,7 +199,23 @@ class TestCompareSweep:
     def test_single_vehicle_gap_is_zero(self):
         # one vehicle: both policies pick the single nearest visible node
         spec = ExperimentSpec(configs=(Configuration(1, 50, 5),), reps=3, seed=2)
-        assert compare_sweep(spec) == 0.0
+        assert compare_sweep(spec) == (0.0, 0.0)
+
+    def test_open_and_closed_gaps_come_from_paired_solves(self):
+        config = Configuration(3, 60, 5)
+        spec = ExperimentSpec(configs=(config,), reps=2, seed=17)
+        deltas = {False: [], True: []}
+        for rep in range(2):
+            inst = instance_for(17, 0, rep, config.n)
+            sched = build_schedule(DynamicsScope.absolute(config.d), inst, config.m)
+            for closed in (False, True):
+                avh = bd_avh(inst, Fleet(m=3), sched, closed=closed).total
+                cvh = bd_cvh(inst, Fleet(m=3), sched, closed=closed).total
+                deltas[closed].append((cvh - avh) / avh)
+        assert compare_sweep(spec) == (
+            float(np.mean(deltas[False])),
+            float(np.mean(deltas[True])),
+        )
 
 
 class TestParseScope:
@@ -209,20 +267,46 @@ class TestReproduceTable:
         assert report.ok
         first = report.rows[0]
         assert first.instance == "eil51.tsp" and first.m == 2
-        # the published total reproduces to its printed precision
-        assert first.computed_closed == pytest.approx(1251.6, abs=0.05)
-        assert abs(first.best_rel_err) < 1e-4
-        for row in report.rows:
+        assert len(report.gates) == len(report.rows) == 36
+        # every published total reproduces on closed walks to its printed
+        # precision, and no cell is a named deviation
+        for row, (label, passed, err) in zip(report.rows, report.gates):
+            assert abs(row.computed_closed - row.published) <= 0.05, label
+            assert passed and err == row.rel_err_closed
+            assert "deviation" not in label
             assert row.computed_open < row.computed_closed
 
     def test_set1_relative_gates_pass(self, data_dir):
+        # set1 prints thousands to one decimal: every closed total lies
+        # within 50 of its published value, except the one named
+        # deviation, which stays at its pinned 13353.1
         report = reproduce_table("set1-relative", data_dir)
         assert report.ok
-        labels = [label for label, _, _ in report.gates]
-        assert any("relative=1" in label for label in labels)
-        full = [r for r in report.rows if r.scope.value == 1.00]
-        for row in full:
-            assert min(abs(row.rel_err_open), abs(row.rel_err_closed)) <= 0.02
+        assert len(report.gates) == len(report.rows) == 14
+        for row, (label, passed, err) in zip(report.rows, report.gates):
+            assert passed and err == row.rel_err_closed
+            if (row.algorithm, row.scope.value) == ("avh", 1.0):
+                assert "expected deviation" in label
+                assert "published 13600" in label and "computed 13353.1" in label
+                assert abs(row.computed_closed - 13353.1) <= 0.05
+            else:
+                assert "deviation" not in label
+                assert abs(row.computed_closed - row.published) <= 50, label
+
+    @pytest.mark.parametrize("table", ["set1-relative", "set2-absolute"])
+    def test_a_cell_fails_once_it_leaves_its_half_unit(self, table, data_dir):
+        report = reproduce_table(table, data_dir)
+        unit = bdmtsp.harness._TABLES[table][1]  # of the last printed digit
+        assert unit == {"set1-relative": 100.0, "set2-absolute": 0.1}[table]
+        for row in report.rows:
+            pinned = (row.algorithm, row.scope.kind, row.scope.value) == ("avh", "relative", 1.0)
+            target, half = (13353.1, 0.05) if pinned else (row.published, unit / 2)
+            for offset, passes in ((0.99, True), (1.01, False)):
+                for sign in (1, -1):
+                    moved = dataclasses.replace(
+                        row, computed_closed=target + sign * offset * half
+                    )
+                    assert bdmtsp.harness._gate(moved, unit)[1] is passes
 
     @pytest.mark.parametrize("table", ["set1-relative", "set2-absolute"])
     def test_one_solve_per_cell_gives_the_closed_solve_total(
