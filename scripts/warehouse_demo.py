@@ -54,7 +54,7 @@ def main() -> int:
     print(f"job-level total {routes.total:.3f}, internal {internal:.3f}")
     grand = 0.0
     for i, route in enumerate(routes.routes):
-        walk, length = expand_route(net, jobs, depot, route, closed=True)
+        walk, length = expand_route(net, jobs, depot, route)
         grand += length
         names = [jobs[k - 1].id for k in route[1:]]
         print(f"  robot {i}: {', '.join(names) or '(idle)'}")

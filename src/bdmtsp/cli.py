@@ -156,7 +156,7 @@ def _cmd_warehouse(args) -> int:
     grand = 0.0
     for i, route in enumerate(routes.routes):
         job_ids = [jobs[k - 1].id for k in route[1:]]
-        walk, length = wh.expand_route(net, jobs, args.depot, route, closed=True)
+        walk, length = wh.expand_route(net, jobs, args.depot, route)
         grand += length
         print(f"  vehicle {i}: jobs {', '.join(job_ids) or '(none)'}; "
               f"walk length {length:.3f}")

@@ -60,21 +60,32 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _euclid(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    # The one planar distance kernel.  Every operation is a correctly
+    # rounded IEEE-754 one, so plain Python floats give the same bits on
+    # any conforming platform; a C library call would not promise that.
+    return np.sqrt(dx * dx + dy * dy)
+
+
 @dataclass(frozen=True)
 class RoutingInstance:
     """Immutable routing instance: node 0 is the depot, the rest customers.
 
     Exactly one of ``coords`` / ``dist`` must be given.  ``coords`` is an
-    (n, 2) array of planar points, measured with the Euclidean metric;
-    ``dist`` is an explicit (n, n) matrix, possibly asymmetric.  Distances
-    for coordinate instances are computed on demand, so very large
-    instances never materialise the full matrix.
+    (n, 2) array of planar points, each component at most ``max_coord``
+    in magnitude, measured as sqrt(dx*dx + dy*dy) of from-node minus
+    to-node; ``dist`` is an explicit (n, n) matrix, possibly asymmetric.
+    Distances for coordinate instances are computed on demand, so very
+    large instances never materialise the full matrix.
     """
 
     name: str
     coords: np.ndarray | None = None
     dist: np.ndarray | None = None
     depot: ClassVar[int] = 0
+    # dx*dx overflows past |dx| ~ 1.3e154; at this bound 8 * max_coord**2
+    # is still finite, so no distance or route total becomes inf.
+    max_coord: ClassVar[float] = 1e150
 
     def __post_init__(self) -> None:
         if (self.coords is None) == (self.dist is None):
@@ -83,8 +94,10 @@ class RoutingInstance:
             coords = _readonly(self.coords)
             if coords.ndim != 2 or coords.shape[1] != 2:
                 raise BdmtspError("coords must be an (n, 2) array")
-            if not np.all(np.isfinite(coords)):
-                raise BdmtspError("coordinates must be finite")
+            if not np.all(np.abs(coords) <= self.max_coord):
+                raise BdmtspError(
+                    f"coordinates must be finite and at most {self.max_coord:g} in magnitude"
+                )
             object.__setattr__(self, "coords", coords)
         else:
             dist = _readonly(self.dist)
@@ -115,7 +128,19 @@ class RoutingInstance:
             return self.dist[np.ix_(r, c)]
         p = self.coords[r]
         q = self.coords[c]
-        return np.hypot(p[:, 0:1] - q[None, :, 0], p[:, 1:2] - q[None, :, 1])
+        return _euclid(p[:, 0:1] - q[None, :, 0], p[:, 1:2] - q[None, :, 1])
+
+    def legs(self, walk: Sequence[int]) -> np.ndarray:
+        """Distance from each node of ``walk`` to the next, in walk order.
+
+        Each leg is bit-equal to the ``submatrix`` entry for its
+        (from, to) pair.
+        """
+        w = np.asarray(walk, dtype=np.intp)
+        if self.dist is not None:
+            return self.dist[w[:-1], w[1:]]
+        d = self.coords[w[:-1]] - self.coords[w[1:]]
+        return _euclid(d[:, 0], d[:, 1])
 
 
 _SCOPE_KINDS = ("absolute", "m_absolute", "relative", "m_relative", "variable")

@@ -29,10 +29,12 @@ from .core import (
     build_schedule,
 )
 from .io import parse_tsplib, read_text
+from . import solvers
 # The registry object itself, not a copy: perfbench/layers.py rebinds its
-# entries (and this module's build_schedule, instance_for, parse_tsplib),
-# so run_sweep and reproduce_table must look all of them up at call time.
-from .solvers import ALGORITHMS as _ALGORITHMS, relative_difference, route_lengths
+# entries (and solvers.route_lengths, and this module's build_schedule,
+# instance_for, parse_tsplib), so run_sweep and reproduce_table must look
+# all of them up at call time.
+from .solvers import ALGORITHMS as _ALGORITHMS, relative_difference
 
 __all__ = [
     "ExperimentSpec",
@@ -104,7 +106,7 @@ def _solve(name: str, instance: RoutingInstance, fleet: Fleet, schedule):
     length, not its route, so one solve gives the totals of both modes.
     """
     routes = _ALGORITHMS[name](instance, fleet, schedule)
-    return routes, route_lengths(routes.routes, instance, closed=True)[1]
+    return routes, solvers.route_lengths(routes.routes, instance, closed=True)[1]
 
 
 def _solve_task(args) -> tuple[tuple[float, float], ...]:

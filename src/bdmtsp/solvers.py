@@ -12,7 +12,6 @@ the stop budget stop accepting work, which keeps route sizes balanced.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -179,16 +178,10 @@ def route_lengths(
 
 
 def _walk_length(instance: RoutingInstance, walk: list[int]) -> float:
-    # One fancy index per walk, then the legs summed left to right on
-    # Python floats, each leg the scalar distance between its two nodes.
+    # The instance's legs summed left to right on Python floats.
     length = 0.0
-    if instance.dist is not None:
-        for leg in instance.dist[walk[:-1], walk[1:]].tolist():
-            length += leg
-    else:
-        points = instance.coords[walk].tolist()
-        for (xa, ya), (xb, yb) in zip(points, points[1:]):
-            length += math.hypot(xa - xb, ya - yb)
+    for leg in instance.legs(walk).tolist():
+        length += leg
     return length
 
 

@@ -220,13 +220,13 @@ def expand_route(
     jobs: Sequence[TransferJob],
     depot: str,
     route: Sequence[int],
-    closed: bool = True,
 ) -> tuple[tuple[str, ...], float]:
-    """Expand a logical job route back to a storage-location walk.
+    """Expand a logical job route back to a closed storage-location walk.
 
     ``route`` uses instance indexing (0 = depot, k = jobs[k-1]) and must
-    start at the depot.  Returns the full walk and its length, which by
-    construction equals the between-jobs length plus the internal legs.
+    start at the depot; the walk ends back at the depot.  Returns the
+    full walk and its length, which by construction equals the closed
+    between-jobs length plus the internal legs.
     """
     if not route or route[0] != 0:
         raise BdmtspError("route must start at the depot node 0")
@@ -243,10 +243,9 @@ def expand_route(
         walk.extend(inside[1:])
         total += d1 + d2
         pos = job.dest
-    if closed:
-        back, d3 = shortest_path_route(net, pos, depot)
-        walk.extend(back[1:])
-        total += d3
+    back, d3 = shortest_path_route(net, pos, depot)
+    walk.extend(back[1:])
+    total += d3
     return tuple(walk), total
 
 

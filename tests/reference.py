@@ -5,7 +5,9 @@ different algorithmic route than the package, so an implementation bug
 cannot hide behind a shared helper.  The exceptions are bit-exact
 oracles that keep an earlier form of package code: ``distance`` and
 ``full_matrix`` (the scalar and all-pairs distances routing instances
-once exposed), ``dijkstra_by_id`` (the string-keyed Dijkstra the
+once exposed; the planar kernel sqrt(dx*dx + dy*dy) of from-node minus
+to-node, on Python floats in ``distance`` and as numpy arrays in
+``full_matrix``), ``dijkstra_by_id`` (the string-keyed Dijkstra the
 warehouse module once used, for its tie-breaking), ``numpy_assignment``
 (the assignment loop on numpy scalars) and ``refit_selection``
 (backward selection refitting every candidate).
@@ -27,8 +29,10 @@ def distance(instance, i, j) -> float:
     """Distance from node ``i`` to node ``j`` of a routing instance."""
     if instance.dist is not None:
         return float(instance.dist[i, j])
-    di = instance.coords[i] - instance.coords[j]
-    return float(math.hypot(di[0], di[1]))
+    (xi, yi), (xj, yj) = instance.coords[[i, j]].tolist()
+    dx = xi - xj
+    dy = yi - yj
+    return math.sqrt(dx * dx + dy * dy)
 
 
 def full_matrix(instance) -> np.ndarray:
@@ -36,7 +40,7 @@ def full_matrix(instance) -> np.ndarray:
     if instance.dist is not None:
         return instance.dist
     d = instance.coords[:, None, :] - instance.coords[None, :, :]
-    return np.hypot(d[..., 0], d[..., 1])
+    return np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
 
 
 def law_of_cosines_km(lat1, lon1, lat2, lon2, radius=6378.4):

@@ -292,7 +292,7 @@ def test_criterion_10_warehouse_pipeline():
         routes = bd_avh(instance, Fleet(m=1), sched, closed=True)
         walk_total = 0.0
         for route in routes.routes:
-            _, length = expand_route(net, jobs, depot, route, closed=True)
+            _, length = expand_route(net, jobs, depot, route)
             walk_total += length
         drift = abs(walk_total - (routes.total + internal))
         worst_drift = max(worst_drift, drift)

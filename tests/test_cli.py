@@ -110,6 +110,19 @@ class TestSolve:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_coordinate_bound(self, tmp_path, capsys):
+        # past 1e150 the kernel's dx*dx could overflow to an inf total
+        path = tmp_path / "far.tsp"
+        out = tmp_path / "routes.json"
+        args = ["solve", str(path), "--m", "1", "--scope", "absolute:1", "--closed"]
+        path.write_text(TINY.replace("2 1.0 0.0", "2 1e150 -1e150")
+                        .replace("4 0.0 1.0", "4 -1e150 1e150"))
+        assert cli.main(args + ["--out", str(out)]) == 0
+        assert np.isfinite(json.loads(out.read_text())["total"])
+        path.write_text(TINY.replace("2 1.0 0.0", "2 1.1e150 0.0"))
+        assert cli.main(args) == 2
+        assert "at most 1e+150 in magnitude" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, capsys):
         rc = cli.main(["solve", "nope.tsp", "--m", "2", "--scope", "absolute:1"])
         assert rc == 2

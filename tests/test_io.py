@@ -134,10 +134,15 @@ class TestParseTsplib:
                                        "EDGE_WEIGHT_FORMAT : FUNCTION"))
 
     @pytest.mark.parametrize(
-        "row", ["2 nan 4.0", "2 3.0 inf", "1 3.0 4.0", "0 3.0 4.0", "4 3.0 4.0", "2.0 3.0 4.0"]
+        "row",
+        [
+            "2 nan 4.0", "2 3.0 inf", "2 1.1e150 4.0", "2 3.0 -1.1e150",
+            "1 3.0 4.0", "0 3.0 4.0", "4 3.0 4.0", "2.0 3.0 4.0",
+        ],
     )
     def test_bad_coordinate_row_rejected(self, row):
-        # non-finite values, a duplicate id, ids outside 1..n, a non-integer id
+        # non-finite values, values past the coordinate bound, a duplicate
+        # id, ids outside 1..n, a non-integer id
         with pytest.raises(ParseError):
             parse_tsplib(EUC3.replace("2 3.0 4.0", row))
 

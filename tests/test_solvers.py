@@ -231,6 +231,38 @@ def test_route_lengths_equal_per_leg_distances_bit_for_bit(kind, n, closed):
     assert total.hex() == float(sum(want)).hex()
 
 
+def _hexes(values):
+    return [v.hex() for v in values]
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_route_lengths_sum_the_legs_the_dispatch_decided_on(closed, monkeypatch):
+    rng = np.random.default_rng(11)
+    inst = RoutingInstance(name="frac", coords=rng.random((3000, 2)) * 977.3 - 311.7)
+    customers = rng.permutation(np.arange(1, inst.n)).tolist()
+    routes = [[0] + customers[k::3] for k in range(3)] + [[0], [5]]
+    seen = []
+    legs = RoutingInstance.legs
+
+    def recording(self, walk):
+        out = legs(self, walk)
+        seen.append((list(walk), out.tolist()))
+        return out
+
+    monkeypatch.setattr(RoutingInstance, "legs", recording)
+    lengths, _ = route_lengths(routes, inst, closed)
+    walks = [r + r[:1] if closed and len(r) > 1 else r for r in routes]
+    assert [w for w, _ in seen] == walks
+    for (walk, got), length in zip(seen, lengths):
+        pairs = list(zip(walk, walk[1:]))
+        assert _hexes(got) == _hexes(inst.submatrix([a], [b])[0, 0].item() for a, b in pairs)
+        assert _hexes(got) == _hexes(reference.distance(inst, a, b) for a, b in pairs)
+        total = 0.0
+        for leg in got:
+            total += leg
+        assert length.hex() == total.hex()
+
+
 def test_route_lengths_rejects_empty_route():
     inst = uniform_instance(4, seed=0)
     with pytest.raises(InfeasibleError):

@@ -52,14 +52,19 @@ def test_harness_indexes_the_solver_registry_itself():
     assert bdmtsp.harness._ALGORITHMS is solvers.ALGORITHMS
 
 
-def test_perfbench_tracer_rebinds_and_restores_every_target(monkeypatch):
-    # the per-layer tracer wraps package attributes by name: a deleted
-    # or renamed one would break traced benchmark runs
+def _tracer(monkeypatch):
+    """A fresh perfbench per-layer tracer, imported from its own directory."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.delitem(sys.modules, "layers", raising=False)
     layers = importlib.import_module("layers")
     monkeypatch.delitem(sys.modules, "layers")
-    tracer = layers.Tracer()
+    return layers.Tracer()
+
+
+def test_perfbench_tracer_rebinds_and_restores_every_target(monkeypatch):
+    # the per-layer tracer wraps package attributes by name: a deleted
+    # or renamed one would break traced benchmark runs
+    tracer = _tracer(monkeypatch)
     targets = tracer._targets()
 
     def bound():
@@ -74,3 +79,16 @@ def test_perfbench_tracer_rebinds_and_restores_every_target(monkeypatch):
         wrapped = bound()
     assert all(w is not o for w, o in zip(wrapped, originals))
     assert all(r is o for r, o in zip(bound(), originals))
+
+
+def test_traced_sweep_sees_both_route_lengths_calls_per_solve(monkeypatch):
+    # each solve measures its routes open (in the dispatch) and closed
+    # (in harness._solve); the tracer sees the second call only if the
+    # harness looks route_lengths up at call time
+    tracer = _tracer(monkeypatch)
+    configs = (cam.Configuration(2, 12, 3), cam.Configuration(3, 15, 4))
+    spec = bdmtsp.harness.ExperimentSpec(configs=configs, reps=2, seed=1, workers=1)
+    with tracer.installed():
+        bdmtsp.harness.run_sweep(spec)
+    assert tracer.calls["solvers.avh"] == 4
+    assert tracer.calls["solvers.route_lengths"] == 2 * tracer.calls["solvers.avh"]

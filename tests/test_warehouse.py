@@ -178,19 +178,16 @@ def test_solve_and_expand_recovers_exact_walk_length():
         inst, internal = jobs_to_instance(net, jobs, depot)
         sched = build_schedule(DynamicsScope.relative(1.0), inst, m=1)
         out = bd_avh(inst, Fleet(m=1), sched, closed=True)
-        walk, walk_len = expand_route(net, jobs, depot, out.routes[0], closed=True)
+        walk, walk_len = expand_route(net, jobs, depot, out.routes[0])
         assert walk[0] == depot and walk[-1] == depot
         assert walk_len == pytest.approx(out.total + internal, abs=1e-9)
 
 
 def test_expand_route_single_job_by_hand():
     jobs = transfer_jobs(PATH_NET, [("j1", "b", "c")])
-    walk, length = expand_route(PATH_NET, jobs, depot="a", route=(0, 1), closed=True)
+    walk, length = expand_route(PATH_NET, jobs, depot="a", route=(0, 1))
     assert walk == ("a", "b", "c", "b", "a")
     assert length == 2.0 + 3.0 + 5.0
-    walk_open, length_open = expand_route(PATH_NET, jobs, depot="a", route=(0, 1), closed=False)
-    assert walk_open == ("a", "b", "c")
-    assert length_open == 5.0
 
 
 def test_expand_route_validation():
