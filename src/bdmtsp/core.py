@@ -67,6 +67,15 @@ def _euclid(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy)
 
 
+def _sum_left(values) -> float:
+    # Left to right on Python floats: the builtin ``sum`` compensates
+    # from Python 3.12 on, so its bits would depend on the interpreter.
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass(frozen=True)
 class RoutingInstance:
     """Immutable routing instance: node 0 is the depot, the rest customers.

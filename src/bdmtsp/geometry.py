@@ -1,13 +1,19 @@
-"""Planar and great-circle geometry plus taxi-trip detour estimation."""
+"""Great-circle geometry plus taxi-trip detour estimation.
+
+One numpy kernel, ``_great_circle``, computes every great-circle
+distance: the scalar ``haversine``, the taxi trip matrix and the detour
+ratios.
+"""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from datetime import datetime
 from typing import Iterable, Sequence
 
-from .core import BdmtspError
+import numpy as np
+
+from .core import BdmtspError, _sum_left
 
 __all__ = [
     "EARTH_RADIUS_KM",
@@ -49,23 +55,25 @@ class TripRecord:
             raise BdmtspError("recorded distance must be nonnegative")
 
 
-def haversine(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance in km.
+def _great_circle(lat_a, lon_a, lat_b, lon_b):
+    """Great-circle distance in km from each point a to each point b.
 
-    Uses the arctan2 form, which stays accurate for nearby points where
-    the arccos variant loses digits.  Near antipodal points ``alpha`` can
-    round above 1, so it is capped there.
+    The one great-circle kernel: the arguments broadcast like a ufunc's,
+    and a scalar call gives the same bits as any block entry.  Uses the
+    arctan2 form, which stays accurate for nearby points where the arccos
+    variant loses digits.  Near antipodal points ``alpha`` can round
+    above 1, so it is capped there.
     """
-    dlat = math.radians(b.lat - a.lat)
-    dlon = math.radians(b.lon - a.lon)
-    alpha = min(
-        math.sin(dlat / 2.0) ** 2
-        + math.cos(math.radians(a.lat))
-        * math.cos(math.radians(b.lat))
-        * math.sin(dlon / 2.0) ** 2,
-        1.0,
-    )
-    return 2.0 * EARTH_RADIUS_KM * math.atan2(math.sqrt(alpha), math.sqrt(1.0 - alpha))
+    s_lat = np.sin(np.radians(lat_b - lat_a) / 2.0)
+    s_lon = np.sin(np.radians(lon_b - lon_a) / 2.0)
+    cos_ab = np.cos(np.radians(lat_a)) * np.cos(np.radians(lat_b))
+    alpha = np.minimum(s_lat * s_lat + cos_ab * (s_lon * s_lon), 1.0)
+    return 2.0 * EARTH_RADIUS_KM * np.arctan2(np.sqrt(alpha), np.sqrt(1.0 - alpha))
+
+
+def haversine(a: GeoPoint, b: GeoPoint) -> float:
+    """Great-circle distance in km between two points."""
+    return float(_great_circle(a.lat, a.lon, b.lat, b.lon))
 
 
 # A trip whose recorded distance exceeds this multiple of the great-circle
@@ -73,17 +81,22 @@ def haversine(a: GeoPoint, b: GeoPoint) -> float:
 _OUTLIER_RATIO = 3.0
 
 
-def _is_outlier(trip: TripRecord) -> tuple[bool, float, float]:
-    """(outlier?, recorded/great-circle ratio, great-circle km).
+def _outliers(trips: Sequence[TripRecord]) -> tuple[list[bool], list[float], list[float]]:
+    """Per trip: outlier?, recorded/great-circle ratio, great-circle km.
 
     A trip is an outlier when its ratio is above ``_OUTLIER_RATIO`` or is
-    not a number, or when its endpoints coincide (ratio reported as nan).
+    not a number, or when its endpoints coincide.
     """
-    d_h = haversine(trip.pickup, trip.dropoff)
-    if d_h == 0.0:
-        return True, math.nan, d_h
-    ratio = trip.recorded_km / d_h
-    return not ratio <= _OUTLIER_RATIO, ratio, d_h
+    d_h = _great_circle(
+        np.array([t.pickup.lat for t in trips], dtype=float),
+        np.array([t.pickup.lon for t in trips], dtype=float),
+        np.array([t.dropoff.lat for t in trips], dtype=float),
+        np.array([t.dropoff.lon for t in trips], dtype=float),
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.array([t.recorded_km for t in trips], dtype=float) / d_h
+    outlier = (d_h == 0.0) | ~(ratio <= _OUTLIER_RATIO)
+    return outlier.tolist(), ratio.tolist(), d_h.tolist()
 
 
 def detour_factor(trips: Iterable[TripRecord]) -> tuple[float, tuple[int, ...]]:
@@ -96,17 +109,12 @@ def detour_factor(trips: Iterable[TripRecord]) -> tuple[float, tuple[int, ...]]:
     trips = list(trips)
     if not trips:
         raise BdmtspError("no trips given")
-    ratios = []
-    outliers = []
-    for i, trip in enumerate(trips):
-        outlier, ratio, _ = _is_outlier(trip)
-        if outlier:
-            outliers.append(i)
-        else:
-            ratios.append(ratio)
+    outlier, ratio, _ = _outliers(trips)
+    ratios = [r for out, r in zip(outlier, ratio) if not out]
     if not ratios:
         raise BdmtspError("every trip was an outlier; cannot estimate detour")
-    return sum(ratios) / len(ratios), tuple(outliers)
+    outliers = tuple(i for i, out in enumerate(outlier) if out)
+    return _sum_left(ratios) / len(ratios), outliers
 
 
 def repair_outliers(trips: Sequence[TripRecord], factor: float) -> list[TripRecord]:
@@ -116,8 +124,8 @@ def repair_outliers(trips: Sequence[TripRecord], factor: float) -> list[TripReco
     """
     if factor <= 0:
         raise BdmtspError("detour factor must be positive")
-    repaired = []
-    for trip in trips:
-        outlier, _, d_h = _is_outlier(trip)
-        repaired.append(replace(trip, recorded_km=factor * d_h) if outlier else trip)
-    return repaired
+    outlier, _, d_h = _outliers(trips)
+    return [
+        replace(trip, recorded_km=factor * d) if out else trip
+        for trip, out, d in zip(trips, outlier, d_h)
+    ]

@@ -2,24 +2,24 @@
 
 Covers a practical subset of the TSPLIB text format (EUC_2D node
 coordinates and explicit edge-weight matrices) and taxi-trip CSV
-ingestion with the standard cleaning filters.
+ingestion with the standard cleaning filters.  The taxi trip matrix is
+filled by the great-circle kernel that ``geometry`` owns.
 """
 
 from __future__ import annotations
 
 import csv
 import io as _stdio
-import math
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .core import BdmtspError, ParseError, RoutingInstance
-from .geometry import EARTH_RADIUS_KM, GeoPoint, TripRecord, haversine
+from .core import BdmtspError, ParseError, RoutingInstance, _sum_left
+from .geometry import GeoPoint, TripRecord, _great_circle
+from .geometry import haversine  # unused here; perfbench traces bdmtsp.io.haversine
 
 __all__ = [
     "TaxiLoadResult",
@@ -282,8 +282,8 @@ def _check_offsets(kept: Sequence[tuple[datetime, int, TripRecord]]) -> None:
             )
 
 
-# Rows of the trip matrix computed per numpy call: enough to amortise the
-# call overhead, few enough that the block temporaries (a handful of
+# Rows of the trip matrix computed per kernel call: enough to amortise
+# the call overhead, few enough that the block temporaries (a handful of
 # 8 x j arrays) stay small next to the (j+1)^2 result.
 _ROW_BLOCK = 8
 
@@ -297,52 +297,26 @@ def trips_to_instance(
     reaching its pickup, so entry (j, k) is the great-circle distance
     from trip j's dropoff to trip k's pickup, and column 0 returns to
     the depot.  The recorded on-trip distances are summed separately:
-    they are driven no matter how trips are scheduled.  Every entry is
-    bit-identical to the scalar ``haversine``.
+    they are driven no matter how trips are scheduled.  Every entry comes
+    from the one great-circle kernel, so it is bit-identical to the
+    scalar ``haversine`` of its pair.
     """
     if not trips:
         raise BdmtspError("need at least one trip")
     j = len(trips)
-    dist = np.zeros((j + 1, j + 1))
-    for k, trip in enumerate(trips, start=1):
-        dist[0, k] = haversine(depot, trip.pickup)
-        dist[k, 0] = haversine(trip.dropoff, depot)
     drop_lat = np.array([t.dropoff.lat for t in trips], dtype=float)
     drop_lon = np.array([t.dropoff.lon for t in trips], dtype=float)
     pick_lat = np.array([t.pickup.lat for t in trips], dtype=float)
     pick_lon = np.array([t.pickup.lon for t in trips], dtype=float)
-    drop_cos = np.cos(np.radians(drop_lat))
-    pick_cos = np.cos(np.radians(pick_lat))
+    dist = np.empty((j + 1, j + 1))
+    dist[0, 1:] = _great_circle(depot.lat, depot.lon, pick_lat, pick_lon)
+    dist[1:, 0] = _great_circle(drop_lat, drop_lon, depot.lat, depot.lon)
     for lo in range(0, j, _ROW_BLOCK):
         rows = slice(lo, lo + _ROW_BLOCK)
-        dist[1 + lo : 1 + lo + _ROW_BLOCK, 1:] = _haversine_block(
-            drop_lat[rows], drop_lon[rows], drop_cos[rows], pick_lat, pick_lon, pick_cos
+        dist[1 + lo : 1 + lo + _ROW_BLOCK, 1:] = _great_circle(
+            drop_lat[rows, None], drop_lon[rows, None], pick_lat, pick_lon
         )
     np.fill_diagonal(dist, 0.0)
-    internal = float(sum(t.recorded_km for t in trips))
+    internal = _sum_left(t.recorded_km for t in trips)
     instance = RoutingInstance(name="taxi", dist=dist)
     return instance, internal
-
-
-def _haversine_block(lat_a, lon_a, cos_a, lat_b, lon_b, cos_b) -> np.ndarray:
-    """``haversine(a, b)`` for every row point a and column point b.
-
-    Follows the scalar operation order exactly.  numpy's radians, sin,
-    cos, sqrt and products round like libm; its squares (``x * x``) and
-    arctan2 do not always match C ``pow(x, 2)`` and ``atan2``, so those
-    two steps run per element through the math library.  Iterating a
-    memoryview hands them Python floats without building a list.
-    """
-    shape = (len(lat_a), len(lat_b))
-    size = shape[0] * shape[1]
-
-    def squared_half_sin(delta_deg):
-        half_sin = np.sin(np.radians(delta_deg) / 2.0).ravel()
-        squares = map(pow, memoryview(half_sin), repeat(2.0))
-        return np.fromiter(squares, float, size).reshape(shape)
-
-    sq_lat = squared_half_sin(lat_b - lat_a[:, None])
-    sq_lon = squared_half_sin(lon_b - lon_a[:, None])
-    alpha = np.minimum(sq_lat + cos_a[:, None] * cos_b * sq_lon, 1.0)
-    arc = map(math.atan2, memoryview(np.sqrt(alpha).ravel()), memoryview(np.sqrt(1.0 - alpha).ravel()))
-    return 2.0 * EARTH_RADIUS_KM * np.fromiter(arc, float, size).reshape(shape)

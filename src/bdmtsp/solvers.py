@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .assignment import solve_assignment
-from .core import Fleet, InfeasibleError, RoutingInstance, ScheduleError
+from .core import Fleet, InfeasibleError, RoutingInstance, ScheduleError, _sum_left
 
 __all__ = [
     "ALGORITHMS",
@@ -174,15 +174,11 @@ def route_lengths(
         if closed and len(walk) > 1:
             walk.append(walk[0])
         lengths.append(_walk_length(instance, walk))
-    return tuple(lengths), float(sum(lengths))
+    return tuple(lengths), _sum_left(lengths)
 
 
 def _walk_length(instance: RoutingInstance, walk: list[int]) -> float:
-    # The instance's legs summed left to right on Python floats.
-    length = 0.0
-    for leg in instance.legs(walk).tolist():
-        length += leg
-    return length
+    return _sum_left(instance.legs(walk).tolist())
 
 
 def relative_difference(l_assignment: float, l_closest: float) -> float:

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import BdmtspError, ParseError, RoutingInstance
+from .core import BdmtspError, ParseError, RoutingInstance, _euclid, _sum_left
 
 __all__ = [
     "AisleSpec",
@@ -211,7 +211,7 @@ def jobs_to_instance(
         mat[j] = row
 
     instance = RoutingInstance(name=f"warehouse-{len(jobs)}jobs", dist=mat)
-    internal_total = float(sum(job.internal_len for job in jobs))
+    internal_total = _sum_left(job.internal_len for job in jobs)
     return instance, internal_total
 
 
@@ -326,7 +326,7 @@ def parse_layout(text: str) -> WarehouseNetwork:
                     w = float(parts[3])
                 else:
                     pa, pb = positions[a], positions[b]
-                    w = math.hypot(pa[0] - pb[0], pa[1] - pb[1])
+                    w = float(_euclid(pa[0] - pb[0], pa[1] - pb[1]))
                 edges.append((a, b, w))
             else:
                 raise ValueError("unrecognised record")
@@ -334,8 +334,6 @@ def parse_layout(text: str) -> WarehouseNetwork:
             raise ParseError(f"layout line {lineno}: {raw.strip()!r} ({exc})") from None
     try:
         return WarehouseNetwork(nodes=tuple(nodes), edges=tuple(edges))
-    except ParseError:
-        raise
     except BdmtspError as exc:
         raise ParseError(f"invalid layout: {exc}") from None
 

@@ -396,6 +396,19 @@ class TestWarehouseCommand:
         assert "occupancy 0.1250" in out
 
 
+    def test_overflowing_default_edge_length_exits_2(self, tmp_path, capsys):
+        layout = tmp_path / "layout.txt"
+        layout.write_text("node a 0 0\nnode b 1e200 0\nedge a b\n")
+        jobs = tmp_path / "jobs.csv"
+        jobs.write_text("id,source,dest\nj1,a,b\n")
+        rc = cli.main(
+            ["warehouse", "--layout", str(layout), "--jobs", str(jobs),
+             "--depot", "a", "--m", "1", "--scope", "absolute:1"]
+        )
+        assert rc == 2
+        assert "invalid layout" in capsys.readouterr().err
+
+
 class TestTaxiCommand:
     def test_counts_and_routing(self, tmp_path, capsys):
         csv_path = tmp_path / "trips.csv"

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import bdmtsp.geometry
 from bdmtsp.core import BdmtspError
 from bdmtsp.geometry import (
     EARTH_RADIUS_KM,
     GeoPoint,
     TripRecord,
     detour_factor,
+    _great_circle,
     haversine,
     repair_outliers,
 )
@@ -71,6 +73,30 @@ def test_haversine_antipodal_pairs_give_half_circumference():
     for lat in np.linspace(-1.0, 1.0, 2001):
         d = haversine(GeoPoint(lat, 0), GeoPoint(-lat, 180))
         assert d == pytest.approx(half, rel=1e-6)
+
+
+def test_block_vector_and_scalar_agree_bit_for_bit_across_the_globe():
+    # one kernel: a row-by-column block, a pairwise vector and the scalar
+    # haversine give the same bits, for identical and near-antipodal
+    # points too; a second formula beside it (math.atan2, say, which
+    # differs from numpy's arctan2 on about 5% of these pairs) fails
+    rng = np.random.default_rng(15)
+    lat = rng.uniform(-90.0, 90.0, 60)
+    lon = rng.uniform(-180.0, 180.0, 60)
+    lat[-20:] = -lat[:20] + rng.uniform(-1e-3, 1e-3, 20)
+    lon[-20:] = lon[:20] + 180.0 - 360.0 * (lon[:20] > 0.0)
+    block = _great_circle(lat[:, None], lon[:, None], lat, lon)
+    scalar = [
+        [haversine(GeoPoint(a, b), GeoPoint(c, d)) for c, d in zip(lat, lon)]
+        for a, b in zip(lat, lon)
+    ]
+    rows, cols = np.indices(block.shape).reshape(2, -1)
+    paired = _great_circle(lat[rows], lon[rows], lat[cols], lon[cols])
+    assert np.array_equal(block, np.array(scalar))
+    assert np.array_equal(paired, block.ravel())
+    assert np.all(np.diagonal(block) == 0.0)
+    near_antipodal = np.diagonal(block[:20, -20:])
+    assert np.all(near_antipodal > 0.99 * math.pi * EARTH_RADIUS_KM)
 
 
 # ---------------------------------------------------------------- detour
@@ -144,13 +170,42 @@ def test_repair_outliers_identity_without_outliers():
 
 
 def test_repair_outliers_replaces_with_scaled_haversine():
-    dest = GeoPoint(19.5, -99.0)
-    d_h = haversine(DEPOT, dest)
-    trips = [_trip(DEPOT, dest, 5.0)]
-    repaired = repair_outliers(trips, factor=1.5)
-    assert repaired[0].recorded_km == pytest.approx(1.5 * d_h, rel=1e-12)
+    # exactly factor * haversine(pickup, dropoff), bit for bit
+    rng = np.random.default_rng(21)
+    trips = [
+        _trip(
+            GeoPoint(rng.uniform(19, 20), rng.uniform(-99.5, -98.1)),
+            GeoPoint(rng.uniform(19, 20), rng.uniform(-99.5, -98.1)),
+            rng.uniform(0.9, 8.0),
+        )
+        for _ in range(200)
+    ]
+    recorded = [t.recorded_km for t in trips]
+    factor, outliers = detour_factor(trips)
+    repaired = repair_outliers(trips, factor)
+    assert len(outliers) > 20
+    for k, (trip, fixed) in enumerate(zip(trips, repaired)):
+        if k in outliers:
+            want = factor * haversine(trip.pickup, trip.dropoff)
+            assert fixed.recorded_km.hex() == want.hex()
+        else:
+            assert fixed is trip
     # source untouched
-    assert trips[0].recorded_km == pytest.approx(5.0 * d_h, rel=1e-12)
+    assert [t.recorded_km for t in trips] == recorded
+
+
+def test_detour_and_repair_make_one_kernel_call_per_log(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(np.broadcast_shapes(*map(np.shape, args)))
+        return _great_circle(*args)
+
+    trips = [_trip(DEPOT, GeoPoint(19.5, -99.0 + k / 100), 1.0 + k) for k in range(5)]
+    monkeypatch.setattr(bdmtsp.geometry, "_great_circle", counting)
+    factor, _ = detour_factor(trips)
+    repair_outliers(trips, factor)
+    assert calls == [(5,), (5,)]
 
 
 def test_repair_outliers_lowers_mean_ratio():

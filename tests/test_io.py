@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bdmtsp.io
 from bdmtsp.core import BdmtspError, ParseError
-from bdmtsp.geometry import EARTH_RADIUS_KM, GeoPoint, TripRecord, haversine
+from bdmtsp.geometry import EARTH_RADIUS_KM, GeoPoint, TripRecord, _great_circle, haversine
 from bdmtsp.io import load_taxi_csv, parse_tsplib, trips_to_instance
 
 import reference
@@ -335,8 +336,9 @@ class TestTripsToInstance:
                     assert reference.distance(inst, a, b) == haversine(ta.dropoff, tb.pickup)
 
     def test_dense_city_log_equals_scalar_haversine(self):
-        # about 32k entries: enough that a kernel squaring with x * x
-        # instead of C pow(x, 2) (about 1 entry in 1000-3000 differs) fails
+        # about 32k entries: enough that a second great-circle formula
+        # beside the kernel fails, e.g. one on math.atan2 and ** 2, which
+        # differs from numpy's arctan2 and x * x in 13 of these entries
         rng = np.random.default_rng(7)
         lat = rng.uniform(19.3, 19.5, (180, 2)).tolist()
         lon = rng.uniform(-99.25, -99.05, (180, 2)).tolist()
@@ -373,6 +375,24 @@ class TestTripsToInstance:
         assert inst.dist[1, 2] == haversine(a.dropoff, b.pickup)
         assert inst.dist[1, 0] == haversine(a.dropoff, depot)
         assert inst.dist[1, 2] == pytest.approx(math.pi * EARTH_RADIUS_KM)
+
+    def test_one_kernel_call_per_row_block(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(np.broadcast_shapes(*map(np.shape, args)))
+            return _great_circle(*args)
+
+        monkeypatch.setattr(bdmtsp.io, "_great_circle", counting)
+        trips = [_trip(19.4, -99.1 + k / 1000, 19.5, -99.2) for k in range(20)]
+        trips_to_instance(trips, self.DEPOT)
+        assert calls == [(20,), (20,), (8, 20), (8, 20), (4, 20)]
+
+    def test_internal_length_sums_left_to_right(self):
+        kms = (1.0, 1e-16, 1e-16)
+        trips = [_trip(19.4, -99.1, 19.5, -99.2, km=km) for km in kms]
+        _, internal = trips_to_instance(trips, self.DEPOT)
+        assert internal.hex() == (1.0).hex()
 
     def test_empty_rejected(self):
         with pytest.raises(BdmtspError):

@@ -228,7 +228,10 @@ def test_route_lengths_equal_per_leg_distances_bit_for_bit(kind, n, closed):
         want.append(length)
     lengths, total = route_lengths(routes, inst, closed)
     assert [v.hex() for v in lengths] == [v.hex() for v in want]
-    assert total.hex() == float(sum(want)).hex()
+    want_total = 0.0
+    for length in want:
+        want_total += length
+    assert total.hex() == want_total.hex()
 
 
 def _hexes(values):
@@ -261,6 +264,18 @@ def test_route_lengths_sum_the_legs_the_dispatch_decided_on(closed, monkeypatch)
         for leg in got:
             total += leg
         assert length.hex() == total.hex()
+
+
+def test_route_total_sums_left_to_right_on_every_python():
+    # 1.0 + 1e-16 rounds back to 1.0 twice; a compensated sum (the
+    # builtin sum from Python 3.12 on) gives 1.0000000000000002
+    inst = _explicit(
+        [[0.0, 1.0, 1e-16, 1e-16], [1.0, 0.0, 1.0, 1.0],
+         [1e-16, 1.0, 0.0, 1.0], [1e-16, 1.0, 1.0, 0.0]]
+    )
+    lengths, total = route_lengths([(0, 1), (0, 2), (0, 3)], inst)
+    assert lengths == (1.0, 1e-16, 1e-16)
+    assert total.hex() == (1.0).hex()
 
 
 def test_route_lengths_rejects_empty_route():

@@ -257,6 +257,25 @@ def test_parse_layout_with_defaults_and_comments():
     assert shortest_path(net, "a", "c") == 5.0
 
 
+def test_default_edge_length_is_the_planar_kernel():
+    # sqrt(dx*dx + dy*dy) of from-node minus to-node; math.hypot differs
+    # in the last bit for each of these pairs
+    net = parse_layout(
+        "node a 0 0\nnode b 0.1 0.1\nnode c 0.1 1.2\nnode d 0.1 1.5\n"
+        "edge a b\nedge a c\nedge a d\n"
+    )
+    assert [w.hex() for _, _, w in net.edges] == [
+        "0x1.21a1851ff630bp-3",
+        "0x1.3443cb52c2a85p+0",
+        "0x1.80da360d9e625p+0",
+    ]
+
+
+def test_default_edge_length_overflow_is_a_parse_error():
+    with pytest.raises(ParseError, match="invalid layout"):
+        parse_layout("node a 0 0\nnode b 1e200 0\nedge a b\n")
+
+
 def test_layout_roundtrip():
     net = grid_network(2, 3, AisleSpec(shelf_len=1.2))
     again = parse_layout(layout_text(net))
