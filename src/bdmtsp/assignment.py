@@ -10,41 +10,68 @@ matrix the lowest-indexed minimal row wins; callers rely on that.
 The loop (D. F. Crouse, IEEE TAES 2016) runs on Python lists, not numpy
 scalars, and evaluates every reduced cost as
 ``min_val + c[i][j] - u[i] - v[j]`` in that order: the same IEEE double
-operations give the same pairs and the same cost bits.
+operations give the same pairs on every platform.
+
+``solve_assignment`` takes either a list of equal-length rows of Python
+numbers, used as it is (the small step blocks of the dispatch loop), or
+anything numpy turns into a 2D real array.  A single row needs no
+search: its reduced costs are ``0.0 + c - 0.0 - 0.0``, that is
+``0.0 + c``, and the search keeps the first minimal column, exactly as
+``min`` does.  Only the matched pairs are returned, sorted by row; a
+caller that wants the matching's cost sums its entries.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import BdmtspError
 
-__all__ = ["Assignment", "solve_assignment"]
+__all__ = ["solve_assignment"]
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """Matched (row, column) pairs, sorted by row, plus their total cost."""
-
-    pairs: tuple[tuple[int, int], ...]
-    cost: float
-
-
-def _prepare(cost) -> np.ndarray:
-    c = np.asarray(cost, dtype=float)
+def _rows(cost) -> list:
+    """``cost`` as equal-length rows of finite Python numbers."""
+    if type(cost) is list:
+        try:
+            nc = len(cost[0])
+            total = sum(map(sum, cost))
+            # A nan or inf entry always makes the sum non-finite, so a
+            # finite sum proves every entry finite; a sum that overflows
+            # on finite entries falls through to the per-entry check.
+            if (
+                nc
+                and all(len(row) == nc for row in cost)
+                and type(total) in (float, int)
+                and math.isfinite(total)
+            ):
+                return cost
+        except (IndexError, TypeError, OverflowError):
+            pass
+    try:
+        c = np.asarray(cost)
+    except ValueError:  # ragged rows
+        raise BdmtspError("cost matrix must be 2D and nonempty") from None
     if c.ndim != 2 or c.size == 0:
         raise BdmtspError("cost matrix must be 2D and nonempty")
+    if c.dtype.kind not in "biuf":
+        raise BdmtspError("cost entries must be real numbers")
+    c = c.astype(float, copy=False)
     if not np.isfinite(c).all():
         raise BdmtspError("cost entries must be finite")
-    return c
+    return c.tolist()
 
 
-def _augmenting_paths(c: list[list[float]]) -> list[int]:
+def _augmenting_paths(c) -> list[int]:
     # Requires len(c) <= len(c[0]).  Returns col4row.
     nr, nc = len(c), len(c[0])
+    if nr == 1:
+        # The search's reduced costs are 0.0 + c - 0.0 - 0.0, that is
+        # 0.0 + c, and its strict < keeps the first minimal column.
+        row = [0.0 + x for x in c[0]]
+        return [min(range(nc), key=row.__getitem__)]
     inf = math.inf
     u = [0.0] * nr
     v = [0.0] * nc
@@ -63,10 +90,10 @@ def _augmenting_paths(c: list[list[float]]) -> list[int]:
         while sink == -1:
             tree_rows.append(i)
             lowest = inf
-            index = -1
+            jmin = remaining[-1]  # kept only if every distance overflowed
             row = c[i]
             ui = u[i]
-            for it, j in enumerate(remaining):
+            for j in remaining:
                 r = min_val + row[j] - ui - v[j]
                 s = shortest[j]
                 if r < s:
@@ -74,14 +101,14 @@ def _augmenting_paths(c: list[list[float]]) -> list[int]:
                     path[j] = i
                 if s < lowest:
                     lowest = s
-                    index = it
+                    jmin = j
             min_val = lowest
-            j = remaining.pop(index)
-            done_cols.append(j)
-            if row4col[j] == -1:
-                sink = j
+            remaining.remove(jmin)
+            done_cols.append(jmin)
+            if row4col[jmin] == -1:
+                sink = jmin
             else:
-                i = row4col[j]
+                i = row4col[jmin]
 
         # Each dual changes once, so the update order does not matter.
         u[cur_row] += min_val
@@ -100,17 +127,15 @@ def _augmenting_paths(c: list[list[float]]) -> list[int]:
     return col4row
 
 
-def solve_assignment(cost) -> Assignment:
-    """Minimum-cost matching of cardinality min(rows, cols)."""
-    c = _prepare(cost)
-    nr, nc = c.shape
-    rows = c.tolist()
-    if nr <= nc:
-        col4row = _augmenting_paths(rows)
-        pairs = tuple(enumerate(col4row))
-    else:
-        col4row = _augmenting_paths(c.T.tolist())
-        pairs = tuple(sorted((r, j) for j, r in enumerate(col4row)))
-    # fsum: exactly rounded, so equal matchings report bit-equal costs.
-    total = math.fsum(rows[r][col] for r, col in pairs)
-    return Assignment(pairs=pairs, cost=total)
+def solve_assignment(cost) -> tuple[tuple[int, int], ...]:
+    """Minimum-cost matching of cardinality min(rows, cols).
+
+    Returns the matched (row, column) pairs, sorted by row.  Raises
+    ``BdmtspError`` for a ragged, empty, non-numeric or non-finite
+    matrix.
+    """
+    rows = _rows(cost)
+    if len(rows) <= len(rows[0]):
+        return tuple(enumerate(_augmenting_paths(rows)))
+    col4row = _augmenting_paths(list(zip(*rows)))
+    return tuple(sorted((r, j) for j, r in enumerate(col4row)))

@@ -13,6 +13,7 @@ depot; the customers are nodes 1..n-1, revealed in that order.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
@@ -63,8 +64,16 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 def _euclid(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     # The one planar distance kernel.  Every operation is a correctly
     # rounded IEEE-754 one, so plain Python floats give the same bits on
-    # any conforming platform; a C library call would not promise that.
+    # any conforming platform (the list form of ``submatrix`` relies on
+    # it); a C library call such as hypot or pow would not promise that.
     return np.sqrt(dx * dx + dy * dy)
+
+
+# Coordinate blocks with at most this many entries are built as Python
+# float lists: below it numpy's per-call cost outweighs the arithmetic.
+# Measured per step (block plus the solver's validation): the two forms
+# cost about the same between 48 and 64 entries.
+_LIST_BLOCK = 64
 
 
 def _sum_left(values) -> float:
@@ -108,6 +117,9 @@ class RoutingInstance:
                     f"coordinates must be finite and at most {self.max_coord:g} in magnitude"
                 )
             object.__setattr__(self, "coords", coords)
+            # compact Python-float copies for the small-block list kernel
+            object.__setattr__(self, "_x", array("d", coords[:, 0].tobytes()))
+            object.__setattr__(self, "_y", array("d", coords[:, 1].tobytes()))
         else:
             dist = _readonly(self.dist)
             if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
@@ -129,8 +141,27 @@ class RoutingInstance:
         """Node indices excluding the depot, in instance order."""
         return tuple(range(1, self.n))
 
-    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-        """Distances from ``rows`` to ``cols`` as a dense block."""
+    def submatrix(self, rows: Sequence[int], cols: Sequence[int]):
+        """Distances from ``rows`` to ``cols`` as a dense block.
+
+        Two forms, both indexed ``block[i][j]`` and bit-equal entry by
+        entry.  A coordinate block of at most ``_LIST_BLOCK`` entries is
+        a list of Python float rows, computed with the kernel's own
+        operations; any larger block, and every block of an explicit
+        ``dist`` matrix, is a numpy array.  Every coordinate entry is
+        finite: components are bounded by ``max_coord``, so no squared
+        difference overflows and the block needs no finiteness check.
+        """
+        if self.dist is None and len(rows) * len(cols) <= _LIST_BLOCK:
+            xs, ys, sqrt = self._x, self._y, math.sqrt
+            q = list(zip([xs[j] for j in cols], [ys[j] for j in cols]))
+            block = []
+            for i in rows:
+                px, py = xs[i], ys[i]
+                block.append(
+                    [sqrt((px - qx) * (px - qx) + (py - qy) * (py - qy)) for qx, qy in q]
+                )
+            return block
         r = np.asarray(rows, dtype=np.intp)
         c = np.asarray(cols, dtype=np.intp)
         if self.dist is not None:

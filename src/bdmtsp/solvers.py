@@ -8,6 +8,11 @@ active vehicles to visible customers.  The closest-vehicle policy picks
 globally nearest (vehicle, customer) pairs greedily; the assignment
 policy solves a minimum-cost matching per step.  Vehicles that reach
 the stop budget stop accepting work, which keeps route sizes balanced.
+
+A step's cost block comes from ``RoutingInstance.submatrix``: a list of
+Python float rows for a small coordinate block, a numpy array
+otherwise.  The assignment policy passes it to ``solve_assignment`` as
+it is; the closest-vehicle policy and the step trace take a numpy copy.
 """
 
 from __future__ import annotations
@@ -45,8 +50,9 @@ class RouteSet:
 class StepTrace:
     """Instrumentation record for one dispatch step (testing hook).
 
-    ``costs`` is the step's own cost block; the dispatch loop and the
-    step policies only read it.
+    ``costs`` is a numpy copy of the step's cost block, of shape
+    (active vehicles, visible customers); it is built only when a hook
+    is set.
     """
 
     step: int
@@ -56,10 +62,10 @@ class StepTrace:
     pairs: tuple[tuple[int, int], ...]
 
 
-def _closest_pairs(block: np.ndarray) -> tuple[tuple[int, int], ...]:
+def _closest_pairs(block) -> tuple[tuple[int, int], ...]:
     # Repeated global argmin; ties resolve to the first flat index in
     # row-major order.  Chosen rows/columns are masked within the step.
-    work = np.array(block, copy=True)
+    work = np.array(block, dtype=float)
     count = min(work.shape)
     out = []
     for _ in range(count):
@@ -70,15 +76,17 @@ def _closest_pairs(block: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _assignment_pairs(block: np.ndarray) -> tuple[tuple[int, int], ...]:
-    return solve_assignment(block).pairs
+def _assignment_pairs(block) -> tuple[tuple[int, int], ...]:
+    # looked up at call time, so a tracer that rebinds the module
+    # attribute sees every step's matching
+    return solve_assignment(block)
 
 
 def _dispatch(
     instance: RoutingInstance,
     fleet: Fleet,
     schedule: tuple[int, ...],
-    policy: Callable[[np.ndarray], tuple[tuple[int, int], ...]],
+    policy: Callable[..., tuple[tuple[int, int], ...]],
     closed: bool,
     on_step,
 ) -> RouteSet:
@@ -111,7 +119,7 @@ def _dispatch(
                     step=step,
                     vehicles=tuple(active),
                     nodes=tuple(nodes),
-                    costs=block,
+                    costs=np.array(block, dtype=float),
                     pairs=pairs,
                 )
             )

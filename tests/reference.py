@@ -9,8 +9,9 @@ once exposed; the planar kernel sqrt(dx*dx + dy*dy) of from-node minus
 to-node, on Python floats in ``distance`` and as numpy arrays in
 ``full_matrix``), ``dijkstra_by_id`` (the string-keyed Dijkstra the
 warehouse module once used, for its tie-breaking), ``numpy_assignment``
-(the assignment loop on numpy scalars) and ``refit_selection``
-(backward selection refitting every candidate).
+(the assignment loop on numpy scalars, with the ``Assignment`` record
+and exactly rounded cost the package once returned) and
+``refit_selection`` (backward selection refitting every candidate).
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from bdmtsp.assignment import Assignment
 from bdmtsp.core import BdmtspError, ScheduleError
 
 
@@ -208,6 +209,24 @@ def walk_from_tree(prev, source, target):
     return tuple(reversed(walk))
 
 
+@dataclass(frozen=True)
+class Assignment:
+    """Matched (row, column) pairs, sorted by row, plus their total cost."""
+
+    pairs: tuple[tuple[int, int], ...]
+    cost: float
+
+
+def matching_cost(cost, pairs) -> float:
+    """Exactly rounded total of the matched entries.
+
+    ``fsum`` does not depend on the order of ``pairs``, so equal
+    matchings report bit-equal costs.
+    """
+    c = np.asarray(cost, dtype=float)
+    return math.fsum(c[r, j] for r, j in pairs)
+
+
 def brute_force_assignment(cost) -> Assignment:
     """Exhaustive minimum-cost matching for small matrices (min side <= 8).
 
@@ -236,9 +255,7 @@ def brute_force_assignment(cost) -> Assignment:
                 best_pairs = tuple(sorted((r, j) for j, r in enumerate(rows)))
     # Recompute with fsum so the reported cost does not depend on the
     # enumeration order the winning matching happened to be summed in.
-    return Assignment(
-        pairs=best_pairs, cost=math.fsum(c[r, j] for r, j in best_pairs)
-    )
+    return Assignment(pairs=best_pairs, cost=matching_cost(c, best_pairs))
 
 
 def numpy_augmenting_paths(c: np.ndarray) -> np.ndarray:
@@ -316,8 +333,7 @@ def numpy_assignment(cost) -> Assignment:
     else:
         col4row = numpy_augmenting_paths(c.T)
         pairs = tuple(sorted((int(col4row[r]), r) for r in range(nc)))
-    total = math.fsum(c[r, col] for r, col in pairs)
-    return Assignment(pairs=pairs, cost=total)
+    return Assignment(pairs=pairs, cost=matching_cost(c, pairs))
 
 
 def nominal_step_counts(targets, m, n):

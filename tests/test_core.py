@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdmtsp.core import (
+    _LIST_BLOCK,
     BdmtspError,
     DynamicsScope,
     Fleet,
@@ -212,12 +213,65 @@ def test_instance_submatrix_matches_full_matrix():
     # one pair in 200, so swapping kernels cannot pass unseen
     inst = uniform_instance(60, seed=7)
     rows, cols = [2, 5, *range(10, 60)], [1, 8, 9, *range(20, 60)]
-    block = inst.submatrix(rows, cols).tolist()
+    block = inst.submatrix(rows, cols)
     full = reference.full_matrix(inst)[np.ix_(rows, cols)].tolist()
     for i, row, full_row in zip(rows, block, full):
         want = [reference.distance(inst, i, j).hex() for j in cols]
-        assert [v.hex() for v in row] == want
+        assert [float(v).hex() for v in row] == want
         assert [v.hex() for v in full_row] == want
+
+
+def _block_hexes(block):
+    return [[float(v).hex() for v in row] for row in block]
+
+
+def _kernel_hexes(inst, full, rows, cols):
+    """The block's bits from the scalar kernel, checked against numpy's."""
+    want = [[reference.distance(inst, i, j).hex() for j in cols] for i in rows]
+    assert _block_hexes(full[np.ix_(rows, cols)]) == want
+    return want
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (1, 9), (9, 1), (3, 7), (1, _LIST_BLOCK), (_LIST_BLOCK, 1),
+              (1, _LIST_BLOCK + 1), (_LIST_BLOCK + 1, 1), (4, _LIST_BLOCK // 4 + 1)],
+    ids=lambda shape: "x".join(map(str, shape)),
+)
+def test_small_blocks_are_float_lists_bit_equal_to_the_kernel(shape):
+    # Blocks up to the crossover are lists of Python floats, larger ones
+    # numpy arrays; both hold the kernel's bits.  Hundreds of blocks of
+    # fractional coordinates: ``(px - qx) ** 2`` (libm pow) or
+    # ``math.hypot`` in the list form differs on some of them.
+    r, c = shape
+    rng = np.random.default_rng(r * 1000 + c)
+    inst = RoutingInstance(name="frac", coords=rng.random((400, 2)) * 977.3 - 311.7)
+    full = reference.full_matrix(inst)
+    for _ in range(max(1, 6000 // (r * c))):
+        rows = rng.choice(inst.n, r).tolist()
+        cols = rng.choice(inst.n, c).tolist()
+        block = inst.submatrix(rows, cols)
+        if r * c <= _LIST_BLOCK:
+            assert type(block) is list
+            assert all(type(row) is list and type(row[0]) is float for row in block)
+        else:
+            assert isinstance(block, np.ndarray) and block.shape == shape
+        assert _block_hexes(block) == _kernel_hexes(inst, full, rows, cols)
+
+
+def test_list_blocks_at_the_coordinate_bound_are_finite():
+    # Components are bounded by max_coord, so the largest squared
+    # difference (2 * max_coord)**2 and the sum of two of them are
+    # finite: coordinate blocks need no finiteness check.
+    b = RoutingInstance.max_coord
+    corners = np.array([[b, b], [-b, -b], [b, -b], [-b, b], [0.0, 0.0]])
+    inst = RoutingInstance(name="edge", coords=corners)
+    rows = cols = list(range(inst.n))
+    block = inst.submatrix(rows, cols)
+    assert type(block) is list
+    assert all(math.isfinite(v) for row in block for v in row)
+    assert block[0][1] == pytest.approx(math.sqrt(8.0) * b)
+    full = reference.full_matrix(inst)
+    assert _block_hexes(block) == _kernel_hexes(inst, full, rows, cols)
 
 
 def test_instance_explicit_matrix_roundtrip():

@@ -8,6 +8,7 @@ from bdmtsp.core import (
     RoutingInstance,
     build_schedule,
 )
+from bdmtsp import solvers
 from bdmtsp.solvers import (
     RouteSet,
     bd_avh,
@@ -234,6 +235,49 @@ def test_route_lengths_equal_per_leg_distances_bit_for_bit(kind, n, closed):
     assert total.hex() == want_total.hex()
 
 
+@pytest.mark.parametrize("solver", [bd_avh, bd_cvh])
+def test_step_traces_hold_each_block_as_an_array(solver):
+    # 3 x 40 blocks are numpy arrays; the shrinking tail blocks are
+    # lists.  Either way the trace holds an array of the block's bits.
+    inst = uniform_instance(200, seed=5)
+    m = 3
+    traces = []
+    solver(inst, Fleet(m=m), build_schedule(DynamicsScope.absolute(40), inst, m),
+           on_step=traces.append)
+    from_node = [inst.depot] * m
+    forms = set()
+    for t in traces:
+        block = inst.submatrix([from_node[k] for k in t.vehicles], t.nodes)
+        forms.add(type(block))
+        assert type(t.costs) is np.ndarray and t.costs.dtype == float
+        assert t.costs.shape == (len(t.vehicles), len(t.nodes))
+        assert _hexes(t.costs.ravel()) == [float(v).hex() for row in block for v in row]
+        for a, b in t.pairs:
+            from_node[t.vehicles[a]] = t.nodes[b]
+    assert forms == {list, np.ndarray}
+
+
+def test_avh_builds_no_trace_array_without_a_hook(monkeypatch):
+    made = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def array(self, *args, **kwargs):
+            made.append(1)
+            return np.array(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "np", CountingNumpy())
+    inst = uniform_instance(60, seed=2)
+    sched = build_schedule(DynamicsScope.absolute(5), inst, m=3)
+    bd_avh(inst, Fleet(m=3), sched)
+    assert made == []
+    steps = []
+    bd_avh(inst, Fleet(m=3), sched, on_step=steps.append)
+    assert len(made) == len(steps) > 0
+
+
 def _hexes(values):
     return [v.hex() for v in values]
 
@@ -258,7 +302,7 @@ def test_route_lengths_sum_the_legs_the_dispatch_decided_on(closed, monkeypatch)
     assert [w for w, _ in seen] == walks
     for (walk, got), length in zip(seen, lengths):
         pairs = list(zip(walk, walk[1:]))
-        assert _hexes(got) == _hexes(inst.submatrix([a], [b])[0, 0].item() for a, b in pairs)
+        assert _hexes(got) == _hexes(inst.submatrix([a], [b])[0][0] for a, b in pairs)
         assert _hexes(got) == _hexes(reference.distance(inst, a, b) for a, b in pairs)
         total = 0.0
         for leg in got:
