@@ -117,9 +117,14 @@ class RoutingInstance:
                     f"coordinates must be finite and at most {self.max_coord:g} in magnitude"
                 )
             object.__setattr__(self, "coords", coords)
-            # compact Python-float copies for the small-block list kernel
-            object.__setattr__(self, "_x", array("d", coords[:, 0].tobytes()))
-            object.__setattr__(self, "_y", array("d", coords[:, 1].tobytes()))
+            # compact Python-float copies for the small-block list kernel,
+            # and zero-copy contiguous numpy views of them for large blocks
+            xs = array("d", coords[:, 0].tobytes())
+            ys = array("d", coords[:, 1].tobytes())
+            object.__setattr__(self, "_x", xs)
+            object.__setattr__(self, "_y", ys)
+            object.__setattr__(self, "_xv", _readonly(np.frombuffer(xs)))
+            object.__setattr__(self, "_yv", _readonly(np.frombuffer(ys)))
         else:
             dist = _readonly(self.dist)
             if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
@@ -148,9 +153,12 @@ class RoutingInstance:
         entry.  A coordinate block of at most ``_LIST_BLOCK`` entries is
         a list of Python float rows, computed with the kernel's own
         operations; any larger block, and every block of an explicit
-        ``dist`` matrix, is a numpy array.  Every coordinate entry is
-        finite: components are bounded by ``max_coord``, so no squared
-        difference overflows and the block needs no finiteness check.
+        ``dist`` matrix, is a numpy array.  A larger coordinate block
+        gathers its points from zero-copy contiguous views of the same
+        x and y copies the list form reads, not from strided columns of
+        ``coords``.  Every coordinate entry is finite: components are
+        bounded by ``max_coord``, so no squared difference overflows and
+        the block needs no finiteness check.
         """
         if self.dist is None and len(rows) * len(cols) <= _LIST_BLOCK:
             xs, ys, sqrt = self._x, self._y, math.sqrt
@@ -166,9 +174,8 @@ class RoutingInstance:
         c = np.asarray(cols, dtype=np.intp)
         if self.dist is not None:
             return self.dist[np.ix_(r, c)]
-        p = self.coords[r]
-        q = self.coords[c]
-        return _euclid(p[:, 0:1] - q[None, :, 0], p[:, 1:2] - q[None, :, 1])
+        xs, ys = self._xv, self._yv
+        return _euclid(xs[r, None] - xs[c], ys[r, None] - ys[c])
 
     def legs(self, walk: Sequence[int]) -> np.ndarray:
         """Distance from each node of ``walk`` to the next, in walk order.

@@ -12,7 +12,9 @@ the stop budget stop accepting work, which keeps route sizes balanced.
 A step's cost block comes from ``RoutingInstance.submatrix``: a list of
 Python float rows for a small coordinate block, a numpy array
 otherwise.  The assignment policy passes it to ``solve_assignment`` as
-it is; the closest-vehicle policy and the step trace take a numpy copy.
+it is; the closest-vehicle policy and the step trace take a numpy copy,
+which the closest-vehicle policy masks in place: it reads each pick's
+row and column from the flat ``argmin`` with ``divmod``.
 """
 
 from __future__ import annotations
@@ -66,12 +68,12 @@ def _closest_pairs(block) -> tuple[tuple[int, int], ...]:
     # Repeated global argmin; ties resolve to the first flat index in
     # row-major order.  Chosen rows/columns are masked within the step.
     work = np.array(block, dtype=float)
-    count = min(work.shape)
+    nrows, ncols = work.shape
     out = []
-    for _ in range(count):
-        i, j = np.unravel_index(int(np.argmin(work)), work.shape)
-        out.append((int(i), int(j)))
-        work[i, :] = np.inf
+    for _ in range(min(nrows, ncols)):
+        i, j = divmod(int(work.argmin()), ncols)
+        out.append((i, j))
+        work[i] = np.inf
         work[:, j] = np.inf
     return tuple(out)
 

@@ -10,8 +10,9 @@ to-node, on Python floats in ``distance`` and as numpy arrays in
 ``full_matrix``), ``dijkstra_by_id`` (the string-keyed Dijkstra the
 warehouse module once used, for its tie-breaking), ``numpy_assignment``
 (the assignment loop on numpy scalars, with the ``Assignment`` record
-and exactly rounded cost the package once returned) and
-``refit_selection`` (backward selection refitting every candidate).
+and exactly rounded cost the package once returned), ``closest_pairs``
+(the closest-vehicle step as it located picks with ``np.unravel_index``)
+and ``refit_selection`` (backward selection refitting every candidate).
 """
 
 from __future__ import annotations
@@ -319,21 +320,48 @@ def numpy_augmenting_paths(c: np.ndarray) -> np.ndarray:
     return col4row
 
 
-def numpy_assignment(cost) -> Assignment:
-    """``solve_assignment`` as it ran on numpy scalars (the list loop's oracle)."""
+def numpy_pairs(cost) -> tuple[tuple[int, int], ...]:
+    """The pairs ``solve_assignment`` returns, found on numpy scalars.
+
+    Entries near the float range overflow inside the search, as they do
+    in the package; the oracle does not warn about it.
+    """
     c = np.asarray(cost, dtype=float)
     if c.ndim != 2 or c.size == 0:
         raise BdmtspError("cost matrix must be 2D and nonempty")
     if not np.isfinite(c).all():
         raise BdmtspError("cost entries must be finite")
     nr, nc = c.shape
-    if nr <= nc:
-        col4row = numpy_augmenting_paths(c)
-        pairs = tuple((r, int(col4row[r])) for r in range(nr))
-    else:
+    with np.errstate(over="ignore", invalid="ignore"):
+        if nr <= nc:
+            col4row = numpy_augmenting_paths(c)
+            return tuple((r, int(col4row[r])) for r in range(nr))
         col4row = numpy_augmenting_paths(c.T)
-        pairs = tuple(sorted((int(col4row[r]), r) for r in range(nc)))
-    return Assignment(pairs=pairs, cost=matching_cost(c, pairs))
+    return tuple(sorted((int(col4row[r]), r) for r in range(nc)))
+
+
+def numpy_assignment(cost) -> Assignment:
+    """``solve_assignment`` as it ran on numpy scalars (the list loop's oracle)."""
+    pairs = numpy_pairs(cost)
+    return Assignment(pairs=pairs, cost=matching_cost(cost, pairs))
+
+
+def closest_pairs(block) -> tuple[tuple[int, int], ...]:
+    """Closest-vehicle picks of one step block, in pick order.
+
+    Repeated global argmin over a numpy copy, located with
+    ``np.unravel_index``: ties go to the first flat index in row-major
+    order, and a picked row and column are masked for the rest of the
+    step.
+    """
+    work = np.array(block, dtype=float)
+    out = []
+    for _ in range(min(work.shape)):
+        i, j = np.unravel_index(int(np.argmin(work)), work.shape)
+        out.append((int(i), int(j)))
+        work[i, :] = np.inf
+        work[:, j] = np.inf
+    return tuple(out)
 
 
 def nominal_step_counts(targets, m, n):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bdmtsp.assignment import solve_assignment
+from bdmtsp.assignment import _WIDE, solve_assignment
 from bdmtsp.core import BdmtspError
-from reference import brute_force_assignment, matching_cost, numpy_assignment
+from reference import brute_force_assignment, matching_cost, numpy_assignment, numpy_pairs
 
 
 def _all_matching_costs(c):
@@ -203,10 +204,16 @@ def test_bad_matrices_raise_the_package_error_in_both_forms(form, name):
         ([[True, 2]], ((0, 0),)),
         ([[2, True], [False, 3]], ((0, 1), (1, 0))),
         ([[2**53 + 1, 2**53]], ((0, 0),)),  # equal as floats: first column
+        # wide arrays take the numpy scan, whose sums overflow silently
+        ([[1e308] * _WIDE], ((0, 0),)),
+        ([[1e308]] * _WIDE, ((0, 0),)),
+        ([[1e308] * _WIDE] * 2, ((0, 0), (1, 1))),
     ],
 )
 def test_finite_real_matrices_solve_in_both_forms(form, rows, pairs):
-    assert solve_assignment(_form(form, rows)) == pairs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solve_assignment(_form(form, rows)) == pairs
 
 
 def test_cost_matches_scipy_beyond_brute_force_sizes():
@@ -297,6 +304,51 @@ def test_list_and_ndarray_fronts_match_the_numpy_scalar_oracle(rows):
     want = numpy_assignment(np.array(rows)).pairs
     assert solve_assignment(rows) == want
     assert solve_assignment(np.array(rows)) == want
+
+
+# Entries near the float range: the search's sums overflow to inf and,
+# through inf - inf, to nan, which neither search may take as a distance.
+_HUGE = st.sampled_from([-1.7e308, -1e308, -5e307, 5e307, 1e308, 1.7e308])
+
+
+@st.composite
+def _wide_costs(draw):
+    short = draw(st.integers(1, 7))
+    long = draw(st.integers(_WIDE - 5, 320))
+    elements = st.one_of(_TIES, _HUGE) if draw(st.booleans()) else _TIES
+    # every entry drawn, not one fill value repeated over most of them
+    cost = draw(arrays(float, (short, long), elements=elements, fill=st.nothing()))
+    if draw(st.booleans()):
+        # A few contested columns and dearer ones elsewhere, as when the
+        # vehicles share their nearest customers: the searches then pass
+        # through matched columns, so the duals decide the pairs.
+        few = draw(st.lists(st.integers(0, long - 1), min_size=1, max_size=short + 1,
+                            unique=True))
+        contested = cost[:, few]
+        cost[:] = 9.0
+        cost[:, few] = contested
+    return cost.T if draw(st.booleans()) else cost
+
+
+def _padded(rows):
+    """``rows`` widened to ``_WIDE`` columns of a cost no matching takes."""
+    c = np.array(rows)
+    return np.pad(c, ((0, 0), (0, _WIDE - c.shape[1])), constant_values=1e6)
+
+
+@example(_padded(_ROUNDING_TIES[0]))
+@example(_padded(_ROUNDING_TIES[1]))
+@settings(max_examples=60, deadline=None)
+@given(_wide_costs())
+def test_wide_blocks_match_the_numpy_scalar_oracle_in_both_forms(cost):
+    # Lists keep the Python loop and wide arrays take the numpy scan;
+    # both must pair exactly as the scalar loop, ties and overflow
+    # included, and the scan must not warn about the overflow.
+    want = numpy_pairs(cost)
+    assert solve_assignment(cost.tolist()) == want
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solve_assignment(cost) == want
 
 
 def test_brute_force_guard():

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bdmtsp.core import (
     DynamicsScope,
@@ -114,6 +117,25 @@ def test_full_visibility_closest_matches_static_oracle():
             reference.full_matrix(inst), inst.depot, m, cap=11
         )
         assert [list(r) for r in out.routes] == oracle_routes
+
+
+# Integer values and signed zeros: most picks are among exact ties.
+_TIES = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0, -1.0, 7.0])
+
+
+@st.composite
+def _tie_blocks(draw):
+    k = draw(st.integers(1, 30))
+    shape = draw(st.sampled_from([(1, k), (k, 1), (k, k), (7, 300)]))
+    return draw(arrays(float, shape, elements=_TIES, fill=st.nothing()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tie_blocks())
+def test_closest_pairs_match_the_unravel_index_oracle_in_both_forms(block):
+    want = reference.closest_pairs(block)
+    assert solvers._closest_pairs(block) == want
+    assert solvers._closest_pairs(block.tolist()) == want
 
 
 def test_single_reveal_makes_policies_identical():
