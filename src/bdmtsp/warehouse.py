@@ -16,6 +16,7 @@ import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -101,6 +102,27 @@ class WarehouseNetwork:
             adj[rank[b]].append((rank[a], w))
         return tuple(tuple(v) for v in adj)
 
+    @cached_property
+    def contracted_adjacency(self) -> tuple[tuple, tuple, tuple[int, ...]]:
+        """``ranked_adjacency`` with the leaves split off, for ``_dijkstra``.
+
+        A leaf has exactly one distinct neighbour, its parent, and the
+        parent has more than one (so a 2-node network has no leaves).
+        Returns, per rank, the (parent, length) pair if the rank is a
+        leaf, else None; per rank, the non-leaf neighbour pairs in edge
+        order; and the leaf ranks.  Over parallel edges a leaf keeps the
+        shortest (first of equals).  Every pair is an object of
+        ``ranked_adjacency``.
+        """
+        adjacency = self.ranked_adjacency
+        degree = [len({nbr for nbr, _ in pairs}) for pairs in adjacency]
+        parent = tuple(
+            min(pairs, key=itemgetter(1)) if degree[r] == 1 and degree[pairs[0][0]] > 1 else None
+            for r, pairs in enumerate(adjacency)
+        )
+        core = tuple(tuple(p for p in pairs if parent[p[0]] is None) for pairs in adjacency)
+        return parent, core, tuple(r for r, up in enumerate(parent) if up)
+
     def rank_of(self, node: str) -> int:
         try:
             return self.rank[node]
@@ -129,26 +151,53 @@ def _dijkstra(
 ) -> tuple[list[float], list[int]]:
     """Shortest-path labels and predecessors from rank ``source``.
 
-    Stops once ``target`` is popped: popped labels are final, so its
-    distance and predecessor chain already equal the full tree's.
+    Only non-leaf ranks enter the heap (see ``contracted_adjacency``).
+    A leaf source seeds its parent with ``0.0 + w``; once the heap is
+    done, each leaf (all of them for a full tree, else just the target)
+    gets its parent's label plus ``w``, and the parent as predecessor.
+    That is the plain Dijkstra's tree bit for bit: float addition is
+    monotone and ``fl(x + w) >= x`` for ``w > 0``, so a relaxation out of
+    a leaf (back to its parent, the only neighbour) never strictly
+    improves a label, and the heap entries dropped here could never set
+    a label or a predecessor.  Non-leaf ranks pop in the same
+    ``(d, rank)`` order and relax their neighbours in the same edge
+    order, and over parallel edges ``d + min(w)`` is the smallest sum.
+
+    Stops once ``target`` (or a leaf target's parent) is popped: popped
+    labels are final, so its distance and predecessor chain already
+    equal the full tree's.
     """
-    adjacency = net.ranked_adjacency
-    dist = [math.inf] * len(adjacency)
-    prev = [-1] * len(adjacency)
+    parent, core, leaves = net.contracted_adjacency
+    dist = [math.inf] * len(core)
+    prev = [-1] * len(core)
     dist[source] = 0.0
-    heap = [(0.0, source)]
+    if source == target:
+        return dist, prev
+    if parent[source]:
+        top, w = parent[source]
+        dist[top] = 0.0 + w
+        prev[top] = source
+        heap = [(dist[top], top)]
+    else:
+        heap = [(0.0, source)]
+    stop = parent[target][0] if target is not None and parent[target] else target
     while heap:
         d, cur = heapq.heappop(heap)
         if d > dist[cur]:
             continue  # stale entry: cur was popped with a shorter label
-        if cur == target:
+        if cur == stop:
             break
-        for nbr, w in adjacency[cur]:
+        for nbr, w in core[cur]:
             nd = d + w
             if nd < dist[nbr]:
                 dist[nbr] = nd
                 prev[nbr] = cur
                 heapq.heappush(heap, (nd, nbr))
+    for leaf in leaves if target is None else (target,):
+        up = parent[leaf]
+        if up and leaf != source:
+            dist[leaf] = dist[up[0]] + up[1]
+            prev[leaf] = up[0]
     return dist, prev
 
 
@@ -200,7 +249,9 @@ def jobs_to_instance(
     mat = np.zeros((len(ends), len(ends)))
     for j, start in enumerate(starts):
         dist, _ = _dijkstra(net, start)
-        if j and abs(dist[ends[j]] - jobs[j - 1].internal_len) > 1e-9:
+        if j and not math.isclose(
+            dist[ends[j]], jobs[j - 1].internal_len, rel_tol=1e-9, abs_tol=1e-9
+        ):
             job = jobs[j - 1]
             raise BdmtspError(
                 f"job {job.id}: internal length {job.internal_len} does not match "

@@ -9,6 +9,7 @@ from bdmtsp.warehouse import (
     AisleSpec,
     TransferJob,
     WarehouseNetwork,
+    _dijkstra,
     expand_route,
     grid_network,
     jobs_to_instance,
@@ -159,6 +160,22 @@ def test_jobs_to_instance_rejects_stale_internal_length():
         jobs_to_instance(PATH_NET, jobs, depot="a")
 
 
+def test_jobs_to_instance_accepts_long_paths_summed_in_reverse():
+    # A 200-node path at millimetre scale: the reverse tree sums the same
+    # edges in the other order, and the two sums differ by about 3e-9.
+    rng = np.random.default_rng(1)
+    n = 200
+    nodes = tuple((f"p{i:03d}", float(i), 0.0) for i in range(n))
+    edges = tuple(
+        (f"p{i:03d}", f"p{i + 1:03d}", float(rng.uniform(5e3, 3e4))) for i in range(n - 1)
+    )
+    net = WarehouseNetwork(nodes=nodes, edges=edges)
+    jobs = transfer_jobs(net, [("j", "p000", "p199")])
+    assert abs(shortest_path(net, "p199", "p000") - jobs[0].internal_len) > 1e-9
+    _, internal = jobs_to_instance(net, jobs, depot="p100")
+    assert internal == jobs[0].internal_len
+
+
 def test_jobs_to_instance_requires_jobs():
     with pytest.raises(BdmtspError):
         jobs_to_instance(PATH_NET, (), depot="a")
@@ -301,20 +318,89 @@ def test_parse_jobs_csv():
         parse_jobs_csv("id,source,dest\n", PATH_NET)
 
 
+def _tie_net(seed, n):
+    """Random tree plus chords with lengths of 1-3 and parallel edges.
+
+    Half the nodes hang off the tree as leaves, some leaves on two
+    parallel edges, so ties and contracted leaves are everywhere.
+    """
+    rng = np.random.default_rng(seed)
+    nodes = tuple((f"n{i:02d}", 0.0, 0.0) for i in range(n))
+    edges = []
+    for i in range(1, n):
+        w = float(rng.integers(1, 4))
+        edges.append((f"n{i:02d}", f"n{int(rng.integers(0, i)):02d}", w))
+        if i % 4 == 0:
+            edges.append((edges[-1][1], edges[-1][0], float(rng.integers(1, 4))))
+    for _ in range(n // 4):
+        a, b = rng.choice(n // 2, size=2, replace=False)
+        edges.append((f"n{int(a):02d}", f"n{int(b):02d}", float(rng.integers(1, 4))))
+    return WarehouseNetwork(nodes=nodes, edges=tuple(edges))
+
+
+# "s" hangs off the hub by two parallel edges, 3.0 and 2.0
+STAR_NET = WarehouseNetwork(
+    nodes=tuple((nid, 0.0, 0.0) for nid in ("hub", "p", "q", "r", "s")),
+    edges=(
+        ("hub", "p", 1.0),
+        ("s", "hub", 3.0),
+        ("q", "hub", 1.0),
+        ("hub", "s", 2.0),
+        ("hub", "r", 2.0),
+    ),
+)
+
+
 # Equal spacings make many equal-length paths, so these layouts exercise
 # the heap's tie-breaking; the shelf stubs add dead ends and more ties.
+# The small shapes put leaves at either end of a path, on a star and on
+# parallel edges; the 2-node nets have no leaves at all.
 TIE_LAYOUTS = [
     grid_network(4, 6, AisleSpec(dx=1.0, dy=1.0)),
     grid_network(5, 5, AisleSpec(dx=2.0, dy=2.0, shelf_len=1.0)),
     grid_network(3, 7, AisleSpec(dx=2.0, dy=3.0, shelf_len=1.5)),
+    WarehouseNetwork(nodes=(("a", 0.0, 0.0), ("b", 1.0, 0.0)), edges=(("b", "a", 1.5),)),
+    WarehouseNetwork(
+        nodes=(("a", 0.0, 0.0), ("b", 1.0, 0.0)), edges=(("a", "b", 2.0), ("b", "a", 1.0))
+    ),
+    PATH_NET,
+    STAR_NET,
+    _tie_net(3, 24),
+    _tie_net(4, 31),
 ]
+
+
+def test_contracted_adjacency_by_hand():
+    for net in TIE_LAYOUTS[3:5]:  # 2-node nets, with and without parallel edges
+        assert net.contracted_adjacency[0] == (None, None)
+    hub, p, q, r, s = range(5)
+    parent, core, leaves = STAR_NET.contracted_adjacency
+    assert parent == (None, (hub, 1.0), (hub, 1.0), (hub, 2.0), (hub, 2.0))
+    assert core == ((), ((hub, 1.0),), ((hub, 1.0),), ((hub, 2.0),), ((hub, 3.0), (hub, 2.0)))
+    assert leaves == (p, q, r, s)
+    assert parent[s] is STAR_NET.ranked_adjacency[s][1]
+
+
+def test_dijkstra_stops_at_its_target():
+    # A run ends once its target settles (a leaf target: once its aisle
+    # node does), so nodes far beyond the target keep no label.
+    net = grid_network(3, 8, AisleSpec(shelf_len=1.0))
+    for a, b in (("s0.0", "s0.1"), ("s0.0", "a0.1"), ("a0.0", "s0.1")):
+        dist, prev = _dijkstra(net, net.rank_of(a), net.rank_of(b))
+        assert dist[net.rank_of(b)] == shortest_path(net, a, b)
+        for far in ("a2.7", "s2.7"):
+            assert (dist[net.rank_of(far)], prev[net.rank_of(far)]) == (math.inf, -1)
 
 
 @pytest.mark.parametrize("net", TIE_LAYOUTS)
 def test_shortest_paths_equal_string_keyed_oracle(net):
     ids = net.node_ids
-    for a in ids[::3]:
+    for a in ids:
         dist, prev = reference.dijkstra_by_id(ids, net.edges, a)
+        labels, preds = _dijkstra(net, net.rank_of(a))
+        assert [x.hex() for x in labels] == [dist[b].hex() for b in net.ranked_ids]
+        assert preds[net.rank_of(a)] == -1
+        assert {b: net.ranked_ids[r] for b, r in zip(net.ranked_ids, preds) if b != a} == prev
         for b in ids:
             assert shortest_path(net, a, b) == dist[b]
             walk, length = shortest_path_route(net, a, b)
