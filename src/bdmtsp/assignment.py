@@ -14,17 +14,25 @@ operations give the same pairs on every platform.
 
 ``solve_assignment`` takes either a list of equal-length rows of Python
 numbers, used as it is (the small step blocks of the dispatch loop), or
-anything numpy turns into a 2D real array.  A single row needs no
-search: its reduced costs are ``0.0 + c - 0.0 - 0.0``, that is
-``0.0 + c``, and the search keeps the first minimal column, exactly as
-``min`` does.  An array whose longer side has at least ``_WIDE`` entries
-(the wide windows of online dispatch) stays an array and is searched a
-row at a time with numpy: each search row's reduced costs are one
-``((min_val + c[i]) - u[i]) - v`` over every column, the same IEEE
-operations in the same order, and ``argmin`` keeps the first minimal
-column, as the strict ``<`` of the loop does; so both searches give the
-same pairs.  Only the matched pairs are returned, sorted by row; a
-caller that wants the matching's cost sums its entries.
+anything numpy turns into a 2D real array.  An array whose longer side
+has at least ``_WIDE`` entries (the wide windows of online dispatch)
+stays an array and is searched a row at a time with numpy: each search
+row's reduced costs are one ``((min_val + c[i]) - u[i]) - v`` over every
+column, the same IEEE operations in the same order, and ``argmin`` keeps
+the first minimal column, as the strict ``<`` of the loop does; so both
+searches give the same pairs.  Only the matched pairs are returned,
+sorted by row; a caller that wants the matching's cost sums its entries.
+
+Each row's search starts with one scan of its raw costs in C (``min``
+and ``index`` on a list, ``argmin`` on an array).  If that first minimal
+column is still unmatched, the row takes it and no search runs, with the
+same pairs and duals bit for bit.  Two invariants make that exact: an
+unmatched column still has ``v == 0.0``, and no ``v`` is ever positive,
+so no reduced cost of the row's first scan is below its cost and the
+search would settle that column first, as its sink.  This also covers a
+single row, whose columns are all free.  A list row whose minimum lies
+outside ``(-2**53, 2**53)`` always runs the search: there Python's exact
+int comparisons and the loop's float ones can order the row differently.
 """
 
 from __future__ import annotations
@@ -98,11 +106,6 @@ def _rows(cost):
 def _augmenting_paths(c) -> list[int]:
     # Requires len(c) <= len(c[0]).  Returns col4row.
     nr, nc = len(c), len(c[0])
-    if nr == 1:
-        # The search's reduced costs are 0.0 + c - 0.0 - 0.0, that is
-        # 0.0 + c, and its strict < keeps the first minimal column.
-        row = [0.0 + x for x in c[0]]
-        return [min(range(nc), key=row.__getitem__)]
     inf = math.inf
     u = [0.0] * nr
     v = [0.0] * nc
@@ -110,6 +113,34 @@ def _augmenting_paths(c) -> list[int]:
     row4col = [-1] * nc
 
     for cur_row in range(nr):
+        # First scan in C.  The search below would settle j, the first
+        # column of least cost, as its sink on its first scan whenever j
+        # is unmatched, and change nothing but u[cur_row] and v[j]:
+        # - cur_row is unmatched, so no earlier search reached it, and
+        #   u[cur_row] == 0.0: the first scan's reduced cost of column k
+        #   is ((0.0 + c[k]) - 0.0) - v[k].
+        # - A column enters done_cols only when it gets matched, and it
+        #   stays matched, so an unmatched column still has v == 0.0.
+        # - Every v update subtracts min_val - shortest[jp] >= 0, so
+        #   v <= 0 (or nan after an overflow, which never compares
+        #   below a distance), and by monotone rounding no reduced cost
+        #   is below its cost.
+        # So j's reduced cost is its cost and every earlier column's is
+        # strictly larger.  The search would set u[cur_row] = 0.0 + cost,
+        # the same bits as the += here (for -0.0 and ints too), and
+        # v[j] -= 0.0, which changes no bit.  Python compares ints and
+        # floats exactly but the loop compares the floats they convert
+        # to; the two orders agree when the minimum is in (-2**53, 2**53).
+        row = c[cur_row]
+        lowest = min(row)
+        if -2**53 < lowest < 2**53:
+            j = row.index(lowest)
+            if row4col[j] == -1:
+                u[cur_row] += lowest
+                row4col[j] = cur_row
+                col4row[cur_row] = j
+                continue
+
         shortest = [inf] * nc
         path = [-1] * nc
         tree_rows = []  # rows reached by this search, in visit order
@@ -165,8 +196,6 @@ def _vector_paths(c: np.ndarray) -> list[int]:
     # _augmenting_paths on an array, one numpy expression per search row.
     # Requires rows <= cols.  Returns col4row.
     nr, nc = c.shape
-    if nr == 1:
-        return [int(c[0].argmin())]
     inf = math.inf
     u = [0.0] * nr
     v = np.zeros(nc)
@@ -177,6 +206,13 @@ def _vector_paths(c: np.ndarray) -> list[int]:
     # Sums of entries near 1e308 overflow to inf or nan, as in the loop.
     with np.errstate(over="ignore", invalid="ignore"):
         for cur_row in range(nr):
+            # The first scan of _augmenting_paths, on floats only.
+            j = int(c[cur_row].argmin())
+            if row4col[j] == -1:
+                u[cur_row] += float(c[cur_row, j])
+                row4col[j] = cur_row
+                col4row[cur_row] = j
+                continue
             work = np.full(nc, inf)  # shortest distance; inf once settled
             free = np.ones(nc, dtype=bool)  # columns not yet settled
             path = np.full(nc, -1, dtype=np.intp)

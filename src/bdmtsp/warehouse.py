@@ -209,12 +209,20 @@ def shortest_path(net: WarehouseNetwork, a: str, b: str) -> float:
 
 
 def shortest_path_route(net: WarehouseNetwork, a: str, b: str) -> tuple[tuple[str, ...], float]:
-    """One shortest a-b path as a node walk plus its length."""
+    """One shortest a-b path as a node walk plus its length.
+
+    Raises ``BdmtspError`` if the predecessor chain breaks (a -1) or
+    repeats a node before it reaches ``a``.
+    """
     source, target = net.rank_of(a), net.rank_of(b)
     dist, prev = _dijkstra(net, source, target)
     walk = [target]
     while walk[-1] != source:
-        walk.append(prev[walk[-1]])
+        up = prev[walk[-1]]
+        # a walk of len(prev) nodes that has not reached a holds a cycle
+        if up < 0 or len(walk) == len(prev):
+            raise BdmtspError(f"no predecessor chain from {b!r} back to {a!r}")
+        walk.append(up)
     ids = net.ranked_ids
     return tuple(ids[r] for r in reversed(walk)), dist[target]
 

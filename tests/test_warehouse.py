@@ -57,6 +57,26 @@ def test_shortest_path_route_nodes():
     assert length == 5.0
 
 
+@pytest.mark.parametrize(
+    "target,links",
+    [
+        # b's chain breaks at once; c, the last rank, leads to a, so a walk
+        # that read prev[-1] would reach a with a wrong walk
+        ("b", {"b": None, "c": "a"}),
+        # c and b lead to each other and never to a
+        ("c", {"c": "b", "b": "c"}),
+    ],
+)
+def test_shortest_path_route_rejects_a_broken_predecessor_chain(monkeypatch, target, links):
+    rank = PATH_NET.rank_of
+    prev = [-1] * 3
+    for node, up in links.items():
+        prev[rank(node)] = -1 if up is None else rank(up)
+    monkeypatch.setattr("bdmtsp.warehouse._dijkstra", lambda *args: ([0.0] * 3, prev))
+    with pytest.raises(BdmtspError, match="no predecessor chain"):
+        shortest_path_route(PATH_NET, "a", target)
+
+
 def test_shortest_path_unknown_node():
     with pytest.raises(BdmtspError):
         shortest_path(PATH_NET, "a", "zz")
