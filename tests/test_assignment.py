@@ -373,8 +373,8 @@ def _exit_rows(draw):
     return [[rnd.choice(pool) for _ in range(c)] for _ in range(r)]
 
 
-# The cheapest column of row 0 is 2**53 exactly but ties in floats:
-# row 0 takes column 0, as the search does, not column 1.
+# Row 0's exact minimum is 2.0**53 in column 1, but as floats its three
+# entries tie, so the search gives row 0 column 0, and row 1 column 2.
 @example([[2**53 + 1, 2.0**53, 2**53 + 1], [2**53, 2.0**53, 1]])
 @settings(max_examples=300, deadline=None)
 @given(_exit_rows())
