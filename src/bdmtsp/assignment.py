@@ -26,13 +26,17 @@ sorted by row; a caller that wants the matching's cost sums its entries.
 Each row's search starts with one scan of its raw costs in C (``min``
 and ``index`` on a list, ``argmin`` on an array).  If that first minimal
 column is still unmatched, the row takes it and no search runs, with the
-same pairs and duals bit for bit.  Two invariants make that exact: an
-unmatched column still has ``v == 0.0``, and no ``v`` is ever positive,
-so no reduced cost of the row's first scan is below its cost and the
-search would settle that column first, as its sink.  This also covers a
-single row, whose columns are all free.  A list row whose minimum lies
-outside ``(-2**53, 2**53)`` always runs the search: there Python's exact
-int comparisons and the loop's float ones can order the row differently.
+same pairs and duals bit for bit, as long as no column dual ``v`` is
+positive.  Two facts make that exact: an unmatched column still has
+``v == 0.0``, and with no ``v`` positive no reduced cost of the row's
+first scan is below its cost, so the search would settle that column
+first, as its sink.  In exact arithmetic no ``v`` ever turns positive,
+but rounding can settle a later column at a lower distance than an
+earlier one and so push its ``v`` above zero; from then on every row of
+that solve runs the search.  This also covers a single row, whose
+columns are all free.  A list row whose minimum lies outside
+``(-2**53, 2**53)`` always runs the search: there Python's exact int
+comparisons and the loop's float ones can order the row differently.
 """
 
 from __future__ import annotations
@@ -112,34 +116,36 @@ def _augmenting_paths(c) -> list[int]:
     col4row = [-1] * nr
     row4col = [-1] * nc
 
+    exact = True  # no v is positive yet, so the first-scan exit is exact
     for cur_row in range(nr):
-        # First scan in C.  The search below would settle j, the first
-        # column of least cost, as its sink on its first scan whenever j
-        # is unmatched, and change nothing but u[cur_row] and v[j]:
+        # First scan in C.  While no v is positive, the search below
+        # would settle j, the first column of least cost, as its sink on
+        # its first scan whenever j is unmatched, and change nothing but
+        # u[cur_row] and v[j]:
         # - cur_row is unmatched, so no earlier search reached it, and
         #   u[cur_row] == 0.0: the first scan's reduced cost of column k
         #   is ((0.0 + c[k]) - 0.0) - v[k].
         # - A column enters done_cols only when it gets matched, and it
         #   stays matched, so an unmatched column still has v == 0.0.
-        # - Every v update subtracts min_val - shortest[jp] >= 0, so
-        #   v <= 0 (or nan after an overflow, which never compares
-        #   below a distance), and by monotone rounding no reduced cost
-        #   is below its cost.
+        # - No v is positive (a nan v, after an overflow, never compares
+        #   below a distance), so by monotone rounding no reduced cost is
+        #   below its cost.
         # So j's reduced cost is its cost and every earlier column's is
         # strictly larger.  The search would set u[cur_row] = 0.0 + cost,
         # the same bits as the += here (for -0.0 and ints too), and
         # v[j] -= 0.0, which changes no bit.  Python compares ints and
         # floats exactly but the loop compares the floats they convert
         # to; the two orders agree when the minimum is in (-2**53, 2**53).
-        row = c[cur_row]
-        lowest = min(row)
-        if -2**53 < lowest < 2**53:
-            j = row.index(lowest)
-            if row4col[j] == -1:
-                u[cur_row] += lowest
-                row4col[j] = cur_row
-                col4row[cur_row] = j
-                continue
+        if exact:
+            row = c[cur_row]
+            lowest = min(row)
+            if -2**53 < lowest < 2**53:
+                j = row.index(lowest)
+                if row4col[j] == -1:
+                    u[cur_row] += lowest
+                    row4col[j] = cur_row
+                    col4row[cur_row] = j
+                    continue
 
         shortest = [inf] * nc
         path = [-1] * nc
@@ -179,8 +185,13 @@ def _augmenting_paths(c) -> list[int]:
         u[cur_row] += min_val
         for ip in tree_rows[1:]:
             u[ip] += min_val - shortest[col4row[ip]]
+        # Settled distances never fall in exact arithmetic, but rounding
+        # can settle a column below an earlier one, whose v then rises
+        # above zero; the first-scan exit is then no longer exact.
         for jp in done_cols:
             v[jp] -= min_val - shortest[jp]
+            if v[jp] > 0.0:
+                exact = False
 
         j = sink
         while True:
@@ -203,16 +214,18 @@ def _vector_paths(c: np.ndarray) -> list[int]:
     row4col = [-1] * nc
     r = np.empty(nc)
     better = np.empty(nc, dtype=bool)
+    exact = True
     # Sums of entries near 1e308 overflow to inf or nan, as in the loop.
     with np.errstate(over="ignore", invalid="ignore"):
         for cur_row in range(nr):
             # The first scan of _augmenting_paths, on floats only.
-            j = int(c[cur_row].argmin())
-            if row4col[j] == -1:
-                u[cur_row] += float(c[cur_row, j])
-                row4col[j] = cur_row
-                col4row[cur_row] = j
-                continue
+            if exact:
+                j = int(c[cur_row].argmin())
+                if row4col[j] == -1:
+                    u[cur_row] += float(c[cur_row, j])
+                    row4col[j] = cur_row
+                    col4row[cur_row] = j
+                    continue
             work = np.full(nc, inf)  # shortest distance; inf once settled
             free = np.ones(nc, dtype=bool)  # columns not yet settled
             path = np.full(nc, -1, dtype=np.intp)
@@ -245,7 +258,10 @@ def _vector_paths(c: np.ndarray) -> list[int]:
             u[cur_row] += min_val
             for ip in tree_rows[1:]:
                 u[ip] += min_val - shortest[col4row[ip]]
-            v[list(shortest)] -= min_val - np.array(list(shortest.values()))
+            done = list(shortest)
+            v[done] -= min_val - np.array(list(shortest.values()))
+            if (v[done] > 0.0).any():
+                exact = False
 
             j = sink
             while True:

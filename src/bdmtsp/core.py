@@ -167,7 +167,7 @@ class RoutingInstance:
             for i in rows:
                 px, py = xs[i], ys[i]
                 block.append(
-                    [sqrt((dx := px - qx) * dx + (dy := py - qy) * dy) for qx, qy in q]
+                    [sqrt((px - qx) * (px - qx) + (py - qy) * (py - qy)) for qx, qy in q]
                 )
             return block
         r = np.asarray(rows, dtype=np.intp)

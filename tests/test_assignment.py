@@ -373,9 +373,22 @@ def _exit_rows(draw):
     return [[rnd.choice(pool) for _ in range(c)] for _ in range(r)]
 
 
+# Row 1's search reaches row 0, where (1 + 2.0**53) - 2.0**53 rounds to 0,
+# below the 1 already settled for column 1, so v[1] turns +1.0; row 2's
+# cheapest column 0 is free, but the search settles column 1 first.
+_ROUNDED_BELOW = [
+    [2.0**53 + 2, 2.0**53, 2.0**53, 2.0**53 + 2],
+    [5, 1, 5, 2],
+    [1, 1, 10, 2.5],
+    [0.5, 1, 9, 3],
+]
+
+
 # Row 0's exact minimum is 2.0**53 in column 1, but as floats its three
 # entries tie, so the search gives row 0 column 0, and row 1 column 2.
 @example([[2**53 + 1, 2.0**53, 2**53 + 1], [2**53, 2.0**53, 1]])
+@example(_ROUNDED_BELOW)
+@example([row + [2.0**54] * (_WIDE - len(row)) for row in _ROUNDED_BELOW])
 @settings(max_examples=300, deadline=None)
 @given(_exit_rows())
 def test_first_scan_exit_pairs_as_the_search_in_both_forms(rows):
