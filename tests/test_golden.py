@@ -14,6 +14,13 @@ lattice (ties everywhere), instances whose step windows reach
 ``assignment._WIDE`` in both orientations, and one seeded explicit-``dist``
 instance.
 
+A third part pins the warehouse pipeline: per layout, one digest of every
+job's internal length, the job matrix bytes, the internal total, the
+``avh`` routes and every expanded walk with its length.  The layouts are
+a shelf grid, a tie-heavy tree with parallel edges and a net with random
+edge lengths; the grid's lengths are binary-exact and sum without
+rounding, so only the random net shows a change in summation order.
+
 Regenerate the file only for a deliberate, named bit change::
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -31,6 +38,10 @@ import numpy as np
 from bdmtsp.cam import sweep_configs
 from bdmtsp.core import DynamicsScope, Fleet, RoutingInstance, build_schedule
 from bdmtsp.harness import TABLE_IDS, _solve, instance_for, reproduce_table
+from bdmtsp.solvers import bd_avh
+from bdmtsp.warehouse import AisleSpec, expand_route, grid_network, jobs_to_instance, transfer_jobs
+
+from conftest import random_net, tie_net
 
 HERE = pathlib.Path(__file__).resolve().parent
 GOLDEN = HERE / "golden.json"
@@ -66,6 +77,42 @@ def _routes_digest(routes) -> str:
     return hashlib.sha256(repr(routes).encode()).hexdigest()[:16]
 
 
+def _warehouse_cases():
+    """(label, network, job triples, depot, m) of every pinned warehouse run."""
+    nets = {
+        "shelf grid": grid_network(4, 6, AisleSpec(dx=2.0, dy=3.0, shelf_len=1.5)),
+        "tie net": tie_net(4, 31),
+        "random net": random_net(np.random.default_rng(5), 40, extra=8),
+    }
+    rng = np.random.default_rng(22)
+    for label, net in nets.items():
+        ids = net.node_ids
+        triples = []
+        for k in range(24):
+            a, b = rng.choice(len(ids), size=2, replace=False)
+            triples.append((f"j{k}", ids[int(a)], ids[int(b)]))
+        yield label, net, triples, ids[int(rng.integers(len(ids)))], 3
+
+
+def warehouse_digests() -> dict:
+    digests = {}
+    for label, net, triples, depot, m in _warehouse_cases():
+        jobs = transfer_jobs(net, triples)
+        instance, internal = jobs_to_instance(net, jobs, depot)
+        schedule = build_schedule(DynamicsScope.absolute(4), instance, m)
+        routes = bd_avh(instance, Fleet(m=m), schedule, closed=True).routes
+        walks = [expand_route(net, jobs, depot, route) for route in routes]
+        bits = (
+            [job.internal_len.hex() for job in jobs],
+            instance.dist.tobytes().hex(),
+            internal.hex(),
+            routes,
+            [(walk, length.hex()) for walk, length in walks],
+        )
+        digests[label] = hashlib.sha256(repr(bits).encode()).hexdigest()[:16]
+    return digests
+
+
 def compute() -> dict:
     solves = {}
     for label, inst, m, scope in _cases():
@@ -95,7 +142,12 @@ def test_routes_and_total_bits_match_the_golden_file():
         assert not moved, f"{len(moved)} {part} moved, first {moved[:5]}"
 
 
+def test_warehouse_bits_match_the_golden_file():
+    assert warehouse_digests() == json.loads(GOLDEN.read_text())["warehouse"]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    GOLDEN.write_text(json.dumps(compute(), indent=1, sort_keys=True) + "\n")
+    golden = {**compute(), "warehouse": warehouse_digests()}
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")

@@ -22,21 +22,7 @@ from bdmtsp.warehouse import (
 )
 
 import reference
-from conftest import layout_text
-
-
-def _random_net(rng, n, extra=None):
-    """Random connected net: spanning tree plus a few chords."""
-    nodes = tuple((f"n{i}", float(rng.random()), float(rng.random())) for i in range(n))
-    edges = []
-    for i in range(1, n):
-        j = int(rng.integers(0, i))
-        edges.append((f"n{i}", f"n{j}", float(rng.uniform(0.5, 3.0))))
-    for _ in range(extra if extra is not None else n):
-        a, b = rng.integers(0, n, size=2)
-        if a != b:
-            edges.append((f"n{int(a)}", f"n{int(b)}", float(rng.uniform(0.5, 3.0))))
-    return WarehouseNetwork(nodes=nodes, edges=tuple(edges))
+from conftest import layout_text, random_net, tie_net
 
 
 PATH_NET = WarehouseNetwork(
@@ -107,7 +93,7 @@ def test_shortest_paths_match_floyd_warshall_oracle():
     rng = np.random.default_rng(17)
     for trial in range(6):
         n = int(rng.integers(5, 61))
-        net = _random_net(rng, n)
+        net = random_net(rng, n)
         oracle = reference.floyd_warshall(net.node_ids, net.edges)
         for a in net.node_ids[:: max(1, n // 7)]:
             for b in net.node_ids:
@@ -139,7 +125,7 @@ def test_jobs_to_instance_matches_pairwise_oracle():
     rng = np.random.default_rng(23)
     for trial in range(4):
         n = int(rng.integers(8, 40))
-        net = _random_net(rng, n)
+        net = random_net(rng, n)
         oracle = reference.floyd_warshall(net.node_ids, net.edges)
         triples = []
         for k in range(int(rng.integers(2, 7))):
@@ -338,26 +324,6 @@ def test_parse_jobs_csv():
         parse_jobs_csv("id,source,dest\n", PATH_NET)
 
 
-def _tie_net(seed, n):
-    """Random tree plus chords with lengths of 1-3 and parallel edges.
-
-    Half the nodes hang off the tree as leaves, some leaves on two
-    parallel edges, so ties and contracted leaves are everywhere.
-    """
-    rng = np.random.default_rng(seed)
-    nodes = tuple((f"n{i:02d}", 0.0, 0.0) for i in range(n))
-    edges = []
-    for i in range(1, n):
-        w = float(rng.integers(1, 4))
-        edges.append((f"n{i:02d}", f"n{int(rng.integers(0, i)):02d}", w))
-        if i % 4 == 0:
-            edges.append((edges[-1][1], edges[-1][0], float(rng.integers(1, 4))))
-    for _ in range(n // 4):
-        a, b = rng.choice(n // 2, size=2, replace=False)
-        edges.append((f"n{int(a):02d}", f"n{int(b):02d}", float(rng.integers(1, 4))))
-    return WarehouseNetwork(nodes=nodes, edges=tuple(edges))
-
-
 # "s" hangs off the hub by two parallel edges, 3.0 and 2.0
 STAR_NET = WarehouseNetwork(
     nodes=tuple((nid, 0.0, 0.0) for nid in ("hub", "p", "q", "r", "s")),
@@ -385,8 +351,8 @@ TIE_LAYOUTS = [
     ),
     PATH_NET,
     STAR_NET,
-    _tie_net(3, 24),
-    _tie_net(4, 31),
+    tie_net(3, 24),
+    tie_net(4, 31),
 ]
 
 
