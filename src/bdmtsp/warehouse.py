@@ -132,47 +132,62 @@ class WarehouseNetwork:
 
 @dataclass(frozen=True)
 class TransferJob:
-    """One pallet move between two storage locations."""
+    """One pallet move between two storage locations.
+
+    ``walk`` is the storage-location walk of the move, from ``source`` to
+    ``dest``, and ``internal_len`` its length.  ``transfer_jobs`` takes
+    both from one shortest-path run, and ``expand_route`` splices the walk
+    into each route as it is, so a route's inside legs run no search.
+    """
 
     id: str
     source: str
     dest: str
     internal_len: float
+    walk: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if self.source == self.dest:
             raise BdmtspError(f"job {self.id}: source equals destination")
         if not (self.internal_len > 0) or not math.isfinite(self.internal_len):
             raise BdmtspError(f"job {self.id}: internal length must be positive")
+        if not self.walk or self.walk[0] != self.source or self.walk[-1] != self.dest:
+            raise BdmtspError(f"job {self.id}: walk must run from source to destination")
 
 
 def _dijkstra(
-    net: WarehouseNetwork, source: int, target: int | None = None
+    net: WarehouseNetwork, source: int, targets: Sequence[int] | None = None
 ) -> tuple[list[float], list[int]]:
     """Shortest-path labels and predecessors from rank ``source``.
 
     Only non-leaf ranks enter the heap (see ``contracted_adjacency``).
     A leaf source seeds its parent with ``0.0 + w``; once the heap is
-    done, each leaf (all of them for a full tree, else just the target)
-    gets its parent's label plus ``w``, and the parent as predecessor.
-    That is the plain Dijkstra's tree bit for bit: float addition is
-    monotone and ``fl(x + w) >= x`` for ``w > 0``, so a relaxation out of
-    a leaf (back to its parent, the only neighbour) never strictly
-    improves a label, and the heap entries dropped here could never set
-    a label or a predecessor.  Non-leaf ranks pop in the same
-    ``(d, rank)`` order and relax their neighbours in the same edge
+    done, each leaf (all of them for a full tree, else just the leaves
+    among ``targets``) gets its parent's label plus ``w``, and the parent
+    as predecessor.  That is the plain Dijkstra's tree bit for bit: float
+    addition is monotone and ``fl(x + w) >= x`` for ``w > 0``, so a
+    relaxation out of a leaf (back to its parent, the only neighbour)
+    never strictly improves a label, and the heap entries dropped here
+    could never set a label or a predecessor.  Non-leaf ranks pop in the
+    same ``(d, rank)`` order and relax their neighbours in the same edge
     order, and over parallel edges ``d + min(w)`` is the smallest sum.
 
-    Stops once ``target`` (or a leaf target's parent) is popped: popped
-    labels are final, so its distance and predecessor chain already
-    equal the full tree's.
+    With ``targets`` (duplicates and ``source`` allowed) the run stops
+    once every target, or a leaf target's parent, has popped: popped
+    labels are final, so each target's distance and predecessor chain
+    already equal the full tree's.  Other ranks' entries are then
+    partial.  ``None`` runs the full tree.
     """
     parent, core, leaves = net.contracted_adjacency
     dist = [math.inf] * len(core)
     prev = [-1] * len(core)
     dist[source] = 0.0
-    if source == target:
-        return dist, prev
+    if targets is None:
+        waiting: set[int] = set()  # never met, so the heap runs dry
+    else:
+        waiting = {parent[t][0] if parent[t] else t for t in targets if t != source}
+        if not waiting:
+            return dist, prev
     if parent[source]:
         top, w = parent[source]
         dist[top] = 0.0 + w
@@ -180,20 +195,22 @@ def _dijkstra(
         heap = [(dist[top], top)]
     else:
         heap = [(0.0, source)]
-    stop = parent[target][0] if target is not None and parent[target] else target
+    heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
-        d, cur = heapq.heappop(heap)
+        d, cur = heappop(heap)
         if d > dist[cur]:
             continue  # stale entry: cur was popped with a shorter label
-        if cur == stop:
-            break
+        if cur in waiting:
+            waiting.remove(cur)
+            if not waiting:
+                break
         for nbr, w in core[cur]:
             nd = d + w
             if nd < dist[nbr]:
                 dist[nbr] = nd
                 prev[nbr] = cur
-                heapq.heappush(heap, (nd, nbr))
-    for leaf in leaves if target is None else (target,):
+                heappush(heap, (nd, nbr))
+    for leaf in leaves if targets is None else targets:
         up = parent[leaf]
         if up and leaf != source:
             dist[leaf] = dist[up[0]] + up[1]
@@ -204,7 +221,7 @@ def _dijkstra(
 def shortest_path(net: WarehouseNetwork, a: str, b: str) -> float:
     """Length of a shortest a-b path in meters."""
     target = net.rank_of(b)
-    dist, _ = _dijkstra(net, net.rank_of(a), target)
+    dist, _ = _dijkstra(net, net.rank_of(a), (target,))
     return dist[target]
 
 
@@ -215,7 +232,7 @@ def shortest_path_route(net: WarehouseNetwork, a: str, b: str) -> tuple[tuple[st
     repeats a node before it reaches ``a``.
     """
     source, target = net.rank_of(a), net.rank_of(b)
-    dist, prev = _dijkstra(net, source, target)
+    dist, prev = _dijkstra(net, source, (target,))
     walk = [target]
     while walk[-1] != source:
         up = prev[walk[-1]]
@@ -230,11 +247,16 @@ def shortest_path_route(net: WarehouseNetwork, a: str, b: str) -> tuple[tuple[st
 def transfer_jobs(
     net: WarehouseNetwork, triples: Iterable[tuple[str, str, str]]
 ) -> tuple[TransferJob, ...]:
-    """Build jobs from (id, source, dest) triples, computing internal legs."""
+    """Build jobs from (id, source, dest) triples, computing internal legs.
+
+    Each job keeps the walk and length of its own source->dest run.
+    """
     jobs = []
     for job_id, source, dest in triples:
-        length = shortest_path(net, source, dest)
-        jobs.append(TransferJob(id=str(job_id), source=source, dest=dest, internal_len=length))
+        walk, length = shortest_path_route(net, source, dest)
+        jobs.append(
+            TransferJob(id=str(job_id), source=source, dest=dest, internal_len=length, walk=walk)
+        )
     return tuple(jobs)
 
 
@@ -251,23 +273,25 @@ def jobs_to_instance(
     if not jobs:
         raise BdmtspError("need at least one transfer job")
     # row j leaves where job j ends, column k arrives where job k starts;
-    # row and column 0 are the depot
+    # row and column 0 are the depot.  Jobs that end at one node share a
+    # row of labels, so each distinct start runs once, up to every end.
     ends = [net.rank_of(depot)] + [net.rank_of(job.source) for job in jobs]
     starts = [ends[0]] + [net.rank_of(job.dest) for job in jobs]
+    rows: dict[int, list[float]] = {}
     mat = np.zeros((len(ends), len(ends)))
     for j, start in enumerate(starts):
-        dist, _ = _dijkstra(net, start)
-        if j and not math.isclose(
-            dist[ends[j]], jobs[j - 1].internal_len, rel_tol=1e-9, abs_tol=1e-9
-        ):
+        if start not in rows:
+            dist, _ = _dijkstra(net, start, ends)
+            rows[start] = [dist[end] for end in ends]
+        row = rows[start]
+        if j and not math.isclose(row[j], jobs[j - 1].internal_len, rel_tol=1e-9, abs_tol=1e-9):
             job = jobs[j - 1]
             raise BdmtspError(
                 f"job {job.id}: internal length {job.internal_len} does not match "
                 f"the network shortest path"
             )
-        row = [dist[end] for end in ends]
-        row[j] = 0.0
         mat[j] = row
+        mat[j, j] = 0.0
 
     instance = RoutingInstance(name=f"warehouse-{len(jobs)}jobs", dist=mat)
     internal_total = _sum_left(job.internal_len for job in jobs)
@@ -285,7 +309,9 @@ def expand_route(
     ``route`` uses instance indexing (0 = depot, k = jobs[k-1]) and must
     start at the depot; the walk ends back at the depot.  Returns the
     full walk and its length, which by construction equals the closed
-    between-jobs length plus the internal legs.
+    between-jobs length plus the internal legs.  The legs between jobs
+    are searched here; each job's inside leg is its own ``walk`` and
+    ``internal_len``.
     """
     if not route or route[0] != 0:
         raise BdmtspError("route must start at the depot node 0")
@@ -297,10 +323,9 @@ def expand_route(
             raise BdmtspError(f"route index {idx} out of range")
         job = jobs[idx - 1]
         approach, d1 = shortest_path_route(net, pos, job.source)
-        inside, d2 = shortest_path_route(net, job.source, job.dest)
         walk.extend(approach[1:])
-        walk.extend(inside[1:])
-        total += d1 + d2
+        walk.extend(job.walk[1:])
+        total += d1 + job.internal_len
         pos = job.dest
     back, d3 = shortest_path_route(net, pos, depot)
     walk.extend(back[1:])

@@ -11,8 +11,10 @@ to-node, on Python floats in ``distance`` and as numpy arrays in
 warehouse module once used, for its tie-breaking), ``numpy_assignment``
 (the assignment loop on numpy scalars, with the ``Assignment`` record
 and exactly rounded cost the package once returned), ``closest_pairs``
-(the closest-vehicle step as it located picks with ``np.unravel_index``)
-and ``refit_selection`` (backward selection refitting every candidate).
+(the closest-vehicle step as it located picks with ``np.unravel_index``),
+``refit_selection`` (backward selection refitting every candidate) and
+``expand_by_legs`` (the route expansion that searched every leg, a job's
+inside leg included).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from bdmtsp.core import BdmtspError, ScheduleError
+from bdmtsp.warehouse import shortest_path_route
 
 
 def distance(instance, i, j) -> float:
@@ -208,6 +211,24 @@ def walk_from_tree(prev, source, target):
     while walk[-1] != source:
         walk.append(prev[walk[-1]])
     return tuple(reversed(walk))
+
+
+def expand_by_legs(net, jobs, depot, route):
+    """A route's closed walk and length with one search per leg.
+
+    Each job adds its approach and inside lengths as ``d1 + d2``, and the
+    closing leg comes last; the walk splices every leg's walk in order.
+    """
+    walk, total, pos = [depot], 0.0, depot
+    for idx in route[1:]:
+        job = jobs[idx - 1]
+        approach, d1 = shortest_path_route(net, pos, job.source)
+        inside, d2 = shortest_path_route(net, job.source, job.dest)
+        walk += approach[1:] + inside[1:]
+        total += d1 + d2
+        pos = job.dest
+    back, d3 = shortest_path_route(net, pos, depot)
+    return tuple(walk) + back[1:], total + d3
 
 
 @dataclass(frozen=True)

@@ -104,9 +104,25 @@ def test_shortest_paths_match_floyd_warshall_oracle():
 
 def test_transfer_job_validation():
     with pytest.raises(BdmtspError):
-        TransferJob(id="1", source="a", dest="a", internal_len=3.0)
+        TransferJob(id="1", source="a", dest="a", internal_len=3.0, walk=("a",))
     with pytest.raises(BdmtspError):
-        TransferJob(id="1", source="a", dest="b", internal_len=0.0)
+        TransferJob(id="1", source="a", dest="b", internal_len=0.0, walk=("a", "b"))
+
+
+@pytest.mark.parametrize(
+    "walk", [("b", "c"), ("a", "b"), ()], ids=["wrong start", "wrong end", "empty"]
+)
+def test_transfer_job_walk_runs_from_source_to_dest(walk):
+    with pytest.raises(BdmtspError, match="walk must run from source to destination"):
+        TransferJob(id="1", source="a", dest="c", internal_len=5.0, walk=walk)
+
+
+def test_transfer_jobs_keep_their_own_walks():
+    jobs = transfer_jobs(PATH_NET, [("j1", "c", "a"), ("j2", "b", "c")])
+    assert [(job.walk, job.internal_len) for job in jobs] == [
+        (("c", "b", "a"), 5.0),
+        (("b", "c"), 3.0),
+    ]
 
 
 def test_jobs_to_instance_adjacent_jobs_have_zero_link():
@@ -161,7 +177,7 @@ def test_jobs_to_instance_is_asymmetric_in_general():
 
 
 def test_jobs_to_instance_rejects_stale_internal_length():
-    jobs = (TransferJob(id="x", source="a", dest="c", internal_len=4.0),)
+    jobs = (TransferJob(id="x", source="a", dest="c", internal_len=4.0, walk=("a", "b", "c")),)
     with pytest.raises(BdmtspError, match="internal length"):
         jobs_to_instance(PATH_NET, jobs, depot="a")
 
@@ -180,6 +196,35 @@ def test_jobs_to_instance_accepts_long_paths_summed_in_reverse():
     assert abs(shortest_path(net, "p199", "p000") - jobs[0].internal_len) > 1e-9
     _, internal = jobs_to_instance(net, jobs, depot="p100")
     assert internal == jobs[0].internal_len
+
+
+def test_jobs_to_instance_runs_one_tree_per_distinct_start(monkeypatch):
+    # jobs 1 and 2 end at s1.1 and job 4 at the depot, so those rows share
+    # their labels; row 3 still reads s1.1 -> s0.1, not row 2's zero
+    net = grid_network(3, 4, AisleSpec(shelf_len=1.0))
+    triples = [
+        ("1", "s0.0", "s1.1"), ("2", "s0.1", "s1.1"), ("3", "s1.1", "s0.0"), ("4", "s2.3", "a0.0")
+    ]
+    jobs = transfer_jobs(net, triples)
+    runs = []
+    real = _dijkstra
+
+    def counted(net, source, targets=None):
+        runs.append(net.ranked_ids[source])
+        return real(net, source, targets)
+
+    monkeypatch.setattr("bdmtsp.warehouse._dijkstra", counted)
+    inst, _ = jobs_to_instance(net, jobs, depot="a0.0")
+    assert sorted(runs) == ["a0.0", "s0.0", "s1.1"]
+    ends = ["a0.0"] + [source for _, source, _ in triples]
+    starts = ["a0.0"] + [dest for _, _, dest in triples]
+    monkeypatch.setattr("bdmtsp.warehouse._dijkstra", real)
+    expect = [
+        [0.0 if j == k else shortest_path(net, s, e) for k, e in enumerate(ends)]
+        for j, s in enumerate(starts)
+    ]
+    assert inst.dist.tolist() == expect
+    assert inst.dist[3, 2] == 1.0 + 2.0 + 1.0
 
 
 def test_jobs_to_instance_requires_jobs():
@@ -372,10 +417,58 @@ def test_dijkstra_stops_at_its_target():
     # node does), so nodes far beyond the target keep no label.
     net = grid_network(3, 8, AisleSpec(shelf_len=1.0))
     for a, b in (("s0.0", "s0.1"), ("s0.0", "a0.1"), ("a0.0", "s0.1")):
-        dist, prev = _dijkstra(net, net.rank_of(a), net.rank_of(b))
+        dist, prev = _dijkstra(net, net.rank_of(a), (net.rank_of(b),))
         assert dist[net.rank_of(b)] == shortest_path(net, a, b)
         for far in ("a2.7", "s2.7"):
             assert (dist[net.rank_of(far)], prev[net.rank_of(far)]) == (math.inf, -1)
+
+
+# random lengths, so sums round differently in another order; few
+# chords, so leaves and long walks
+RANDOM_NETS = [random_net(np.random.default_rng(seed), 30, extra=6) for seed in (51, 52)]
+
+
+def _chain(prev, node):
+    """The predecessor chain from ``node`` back to a -1, bounded by len(prev)."""
+    chain = [node]
+    while prev[chain[-1]] >= 0 and len(chain) <= len(prev):
+        chain.append(prev[chain[-1]])
+    return chain
+
+
+@pytest.mark.parametrize("net", TIE_LAYOUTS + RANDOM_NETS)
+def test_dijkstra_to_targets_equals_the_full_tree(net):
+    # target sets of leaves and aisle nodes, with duplicates and the source
+    rng = np.random.default_rng(47)
+    n = len(net.node_ids)
+    for source in range(n):
+        full, full_prev = _dijkstra(net, source)
+        for draw in range(4):
+            targets = [int(t) for t in rng.integers(n, size=int(rng.integers(1, 7)))]
+            targets += targets[:1] + [source] * (draw % 2)
+            dist, prev = _dijkstra(net, source, targets)
+            for t in targets:
+                assert dist[t].hex() == full[t].hex()
+                assert _chain(prev, t) == _chain(full_prev, t)
+
+
+@pytest.mark.parametrize("net", TIE_LAYOUTS + RANDOM_NETS)
+def test_expand_route_equals_leg_by_leg_oracle(net):
+    rng = np.random.default_rng(43)
+    ids = net.node_ids
+    triples = []
+    for k in range(10):
+        a, b = rng.choice(len(ids), size=2, replace=False)
+        triples.append((f"j{k}", ids[int(a)], ids[int(b)]))
+    jobs = transfer_jobs(net, triples)
+    for _ in range(4):
+        depot = ids[int(rng.integers(len(ids)))]
+        order = rng.permutation(len(jobs))[: int(rng.integers(len(jobs) + 1))]
+        route = (0, *(int(k) + 1 for k in order))
+        walk, length = expand_route(net, jobs, depot, route)
+        want, want_length = reference.expand_by_legs(net, jobs, depot, route)
+        assert walk == want
+        assert length.hex() == want_length.hex()
 
 
 @pytest.mark.parametrize("net", TIE_LAYOUTS)
