@@ -443,6 +443,10 @@ def test_dijkstra_to_targets_equals_the_full_tree(net):
     n = len(net.node_ids)
     for source in range(n):
         full, full_prev = _dijkstra(net, source)
+        # the source alone is settled before any search
+        alone = ([math.inf] * n, [-1] * n)
+        alone[0][source] = 0.0
+        assert _dijkstra(net, source, [source, source]) == alone
         for draw in range(4):
             targets = [int(t) for t in rng.integers(n, size=int(rng.integers(1, 7)))]
             targets += targets[:1] + [source] * (draw % 2)
