@@ -5,9 +5,11 @@ tour length.  Features are the monomials m^p1 * n^p2 * d^p3 of
 ``TERMS``; models are ordinary least squares fits over those features,
 thinned by backward stepwise selection.  Three published coefficient
 sets are embedded for direct prediction.  They predict closed-walk
-means (every route returns to the depot).  A sweep result carries the
-open and the closed means of the same solves, so the published models
-are compared with, and ``bdmtsp cam-fit`` fits, the closed means.
+means (every route returns to the depot).  ``sweep_configs`` builds
+every (m, n, d) grid, and a sweep result carries the open and the
+closed means of the same solves, so the published models are compared
+with, and ``bdmtsp cam-fit`` fits, the closed means.  A sweep CSV has
+one format, which holds both means and the algorithm.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import BdmtspError, _is_count
+from .solvers import ALGORITHMS
 
 __all__ = [
     "TERMS",
@@ -34,7 +37,6 @@ __all__ = [
     "backward_select",
     "step_model",
     "predict",
-    "SWEEP_GRID",
     "sweep_configs",
     "PUBLISHED_3F",
     "PUBLISHED_9F",
@@ -303,14 +305,20 @@ def predict(model: CamModel, config: Configuration) -> float:
 SWEEP_GRID = (tuple(range(1, 8)), tuple(range(50, 501, 50)), tuple(range(5, 31, 5)))
 
 
-def sweep_configs() -> tuple[Configuration, ...]:
-    """The benchmark grid: m 1..7, n 50..500 by 50, d 5..30 by 5.
+def sweep_configs(
+    ms: Sequence[int] | None = None,
+    ns: Sequence[int] | None = None,
+    ds: Sequence[int] | None = None,
+) -> tuple[Configuration, ...]:
+    """The product of fleet sizes, customer counts and visibilities.
 
-    Visibility varies fastest, then customers, then vehicles; the grid
-    holds 7*10*6 = 420 configurations.
+    An axis left as None is the benchmark grid's: m 1..7, n 50..500 by
+    50, d 5..30 by 5, so with no arguments the grid holds 7*10*6 = 420
+    configurations.  Visibility varies fastest, then customers, then
+    vehicles.
     """
-    ms, ns, ds = SWEEP_GRID
-    return tuple(Configuration(m=m, n=n, d=d) for m in ms for n in ns for d in ds)
+    axes = (ax if ax is not None else grid for ax, grid in zip((ms, ns, ds), SWEEP_GRID))
+    return tuple(Configuration(m=m, n=n, d=d) for m, n, d in itertools.product(*axes))
 
 
 @dataclass(frozen=True)
@@ -318,20 +326,21 @@ class SweepResult:
     """Mean observed lengths for a configuration list, in both walk modes.
 
     ``y`` holds the open-walk means and ``y_closed`` the closed-walk
-    means of the same solves.  A result read from a sweep CSV of the old
-    open-only format has neither closed means nor an algorithm (None).
+    means of the same ``reps`` solves per configuration, all made with
+    ``algorithm``.
     """
 
     configs: tuple[Configuration, ...]
     y: tuple[float, ...]
     reps: int
     seed: int
-    y_closed: tuple[float, ...] | None = None
-    algorithm: str | None = None
+    y_closed: tuple[float, ...]
+    algorithm: str
 
     def __post_init__(self) -> None:
-        closed = self.y if self.y_closed is None else self.y_closed
-        if not len(self.configs) == len(self.y) == len(closed):
+        if self.y_closed is None or self.algorithm is None:
+            raise BdmtspError("a sweep result needs closed means and an algorithm")
+        if not len(self.configs) == len(self.y) == len(self.y_closed):
             raise BdmtspError("configs and responses must align")
 
 
@@ -435,15 +444,11 @@ def model_from_json(text: str) -> CamModel:
         raise BdmtspError(f"invalid model JSON: {exc}") from None
 
 
-# The sweep CSV: one row per configuration.  The old open-only form is
-# still read, as open walks.
+# The sweep CSV: one row per configuration.
 _SWEEP_HEADER = "m,n,d,open_mean,closed_mean,reps,seed,algorithm"
-_OPEN_ONLY_HEADER = "m,n,d,mean_len,reps,seed"
 
 
 def sweep_to_csv(result: SweepResult) -> str:
-    if result.y_closed is None or result.algorithm is None:
-        raise BdmtspError("only a sweep with closed means and an algorithm is written")
     lines = [_SWEEP_HEADER]
     for config, open_mean, closed_mean in zip(result.configs, result.y, result.y_closed):
         lines.append(
@@ -455,49 +460,37 @@ def sweep_to_csv(result: SweepResult) -> str:
 
 def sweep_from_csv(text: str) -> SweepResult:
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    header = lines[0].strip() if lines else ""
-    if header not in (_SWEEP_HEADER, _OPEN_ONLY_HEADER):
-        raise BdmtspError(
-            f"sweep CSV must start with header {_SWEEP_HEADER} "
-            f"(or the open-only {_OPEN_ONLY_HEADER})"
-        )
-    names = header.split(",")
-    mean_names = [name for name in names if "mean" in name]
+    if not lines or lines[0].strip() != _SWEEP_HEADER:
+        raise BdmtspError(f"sweep CSV must start with header {_SWEEP_HEADER}")
     configs = []
-    means = []  # per row: (open,) or (open, closed)
+    means = []
     runs = set()
     for ln in lines[1:]:
         fields = ln.split(",")
-        if len(fields) != len(names):
-            raise BdmtspError(f"sweep CSV row needs {len(names)} fields: {ln!r}")
-        row = dict(zip(names, fields))
+        if len(fields) != 8:
+            raise BdmtspError(f"sweep CSV row needs 8 fields: {ln!r}")
+        m, n, d, open_mean, closed_mean, reps, seed, algorithm = fields
         try:
-            m, n, d, reps, seed = (int(row[k]) for k in ("m", "n", "d", "reps", "seed"))
-            values = tuple(float(row[k]) for k in mean_names)
+            m, n, d, reps, seed = map(int, (m, n, d, reps, seed))
+            values = (float(open_mean), float(closed_mean))
         except ValueError:
             raise BdmtspError(f"bad sweep CSV row: {ln!r}") from None
-        algorithm = row.get("algorithm")
-        if reps < 1 or seed < 0 or algorithm == "" or not all(
+        if reps < 1 or seed < 0 or algorithm not in ALGORITHMS or not all(
             math.isfinite(v) and v > 0 for v in values
         ):
             raise BdmtspError(
                 f"sweep CSV row needs finite positive means, reps >= 1, seed >= 0 "
-                f"and an algorithm: {ln!r}"
+                f"and an algorithm of {', '.join(ALGORITHMS)}: {ln!r}"
             )
         configs.append(Configuration(m=m, n=n, d=d))
         means.append(values)
         runs.add((reps, seed, algorithm))
+        if len(runs) > 1:
+            raise BdmtspError(f"sweep CSV rows disagree on reps/seed/algorithm: {ln!r}")
     if not configs:
         raise BdmtspError("sweep CSV contains no rows")
-    if len(runs) > 1:
-        raise BdmtspError("sweep CSV rows disagree on reps/seed/algorithm")
     reps, seed, algorithm = runs.pop()
-    columns = tuple(zip(*means))
+    y, y_closed = zip(*means)
     return SweepResult(
-        configs=tuple(configs),
-        y=columns[0],
-        reps=reps,
-        seed=seed,
-        y_closed=columns[1] if len(columns) > 1 else None,
-        algorithm=algorithm,
+        configs=tuple(configs), y=y, reps=reps, seed=seed, y_closed=y_closed, algorithm=algorithm
     )

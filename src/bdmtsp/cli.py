@@ -76,8 +76,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def _cmd_sweep(args) -> int:
     lists = (args.m_list, args.n_list, args.d_list)
-    ms, ns, ds = (_int_list(text) if text else axis for text, axis in zip(lists, cam.SWEEP_GRID))
-    configs = tuple(cam.Configuration(m=m, n=n, d=d) for m in ms for n in ns for d in ds)
+    configs = cam.sweep_configs(*(_int_list(text) if text else None for text in lists))
     spec = ExperimentSpec(
         configs=configs,
         reps=args.reps,
@@ -108,15 +107,9 @@ def _cmd_cam_fit(args) -> int:
     if args.keep is not None and not 1 <= args.keep <= p:
         raise BdmtspError(f"--keep must lie in 1..{p}, got {args.keep}")
     # the published models were fitted on closed walks
-    if result.y_closed is None:
-        y = np.asarray(result.y)
-        print(f"fitting open-walk means: {args.sweep} has no closed means "
-              f"(seed {result.seed}, reps {result.reps})")
-    else:
-        y = np.asarray(result.y_closed)
-        print(f"fitting closed-walk means of {result.algorithm} "
-              f"(seed {result.seed}, reps {result.reps})")
-    steps = cam.backward_select(X, y)
+    print(f"fitting closed-walk means of {result.algorithm} "
+          f"(seed {result.seed}, reps {result.reps})")
+    steps = cam.backward_select(X, np.asarray(result.y_closed))
     print(f"{'features':>8} {'rmse':>9} {'mape':>8} {'cp':>9} {'bic':>10}")
     for step in steps:
         stats = step.stats
@@ -235,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("cam-fit", help="fit approximation models to a sweep CSV's "
-                       "closed-walk means (open means of an old open-only file)")
+                       "closed-walk means")
     p.add_argument("--sweep", required=True, help="CSV from the sweep subcommand")
     p.add_argument("--keep", type=int, default=None,
                    help="feature count to persist (default: best BIC)")

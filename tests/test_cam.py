@@ -406,58 +406,64 @@ class TestPersistence:
         ]
         assert sweep_from_csv(text) == result
 
-    def test_sweep_csv_needs_closed_means_to_write(self):
+    def test_sweep_result_needs_closed_means_and_an_algorithm(self):
+        configs = sweep_configs()[:1]
         with pytest.raises(BdmtspError, match="closed means"):
-            sweep_to_csv(SweepResult(configs=sweep_configs()[:1], y=(1.0,), reps=1, seed=0))
-
-    def test_old_sweep_csv_reads_as_open_walks(self):
-        text = "m,n,d,mean_len,reps,seed\n1,50,5,2.5,10,0\n2,50,5,3.5,10,0\n"
-        assert sweep_from_csv(text) == SweepResult(
-            configs=(Configuration(1, 50, 5), Configuration(2, 50, 5)),
-            y=(2.5, 3.5),
-            reps=10,
-            seed=0,
-        )
+            SweepResult(configs=configs, y=(1.0,), reps=1, seed=0, y_closed=None, algorithm="avh")
+        with pytest.raises(BdmtspError, match="algorithm"):
+            SweepResult(configs=configs, y=(1.0,), reps=1, seed=0, y_closed=(1.0,), algorithm=None)
 
     def test_sweep_csv_header_required(self):
         with pytest.raises(BdmtspError):
             sweep_from_csv("a,b,c\n1,2,3\n")
         with pytest.raises(BdmtspError):
-            sweep_from_csv("m,n,d,mean_len,reps,seed\n")
-        with pytest.raises(BdmtspError):
             sweep_from_csv("m,n,d,open_mean,closed_mean,reps,seed,algorithm\n")
+        # the open-only format from before closed means were recorded
+        with pytest.raises(BdmtspError, match="header m,n,d,open_mean"):
+            sweep_from_csv("m,n,d,mean_len,reps,seed\n1,50,5,2.5,10,0\n")
         with pytest.raises(BdmtspError, match="header"):  # a mix of the two
             sweep_from_csv("m,n,d,mean_len,closed_mean,reps,seed\n1,50,5,2.5,3.0,1,0\n")
 
     @pytest.mark.parametrize(
-        "header,rows",
+        "rows",
         [
-            ("m,n,d,mean_len,reps,seed", ["1,50,5,-3.5,0,-7", "2,50,5,inf,0,-7"]),
-            ("m,n,d,mean_len,reps,seed", ["1,50,5,0.0,10,0"]),
-            ("m,n,d,mean_len,reps,seed", ["1,50,5,nan,10,0"]),
-            ("m,n,d,mean_len,reps,seed", ["1,50,5,2.5,0,0"]),
-            ("m,n,d,mean_len,reps,seed", ["1,50,5,2.5,10,-1"]),
-            ("m,n,d,open_mean,closed_mean,reps,seed,algorithm", ["1,50,5,2.5,-inf,10,0,avh"]),
-            ("m,n,d,open_mean,closed_mean,reps,seed,algorithm", ["1,50,5,-2.5,3.0,10,0,avh"]),
-            ("m,n,d,open_mean,closed_mean,reps,seed,algorithm", ["1,50,5,2.5,nan,10,0,avh"]),
-            ("m,n,d,open_mean,closed_mean,reps,seed,algorithm", ["1,50,5,2.5,3.0,0,0,avh"]),
-            ("m,n,d,open_mean,closed_mean,reps,seed,algorithm", ["1,50,5,2.5,3.0,1,0,"]),
+            ["1,50,5,-3.5,3.0,0,-7,avh", "2,50,5,inf,3.0,0,-7,avh"],
+            ["1,50,5,0.0,3.0,10,0,avh"],
+            ["1,50,5,nan,3.0,10,0,avh"],
+            ["1,50,5,2.5,3.0,10,-1,avh"],
+            ["1,50,5,2.5,-inf,10,0,avh"],
+            ["1,50,5,-2.5,3.0,10,0,avh"],
+            ["1,50,5,2.5,nan,10,0,avh"],
+            ["1,50,5,2.5,3.0,0,0,avh"],
+            ["1,50,5,2.5,3.0,1,0,"],
+            ["1,50,5,2.5,3.0,1,0,zzz"],
+            ["1,50,5,2.5,3.0,1,0, avh"],
         ],
     )
-    def test_sweep_csv_rejects_values_no_sweep_writes(self, header, rows):
+    def test_sweep_csv_rejects_values_no_sweep_writes(self, rows):
+        text = "\n".join(["m,n,d,open_mean,closed_mean,reps,seed,algorithm", *rows]) + "\n"
         with pytest.raises(BdmtspError, match="sweep CSV row") as exc:
-            sweep_from_csv("\n".join([header, *rows]) + "\n")
+            sweep_from_csv(text)
         assert rows[0] in str(exc.value)
 
-    @pytest.mark.parametrize("row", ["1,50", "1,50,5,2.5,10,0,7", "1,50,x,2.5,10,0"])
+    @pytest.mark.parametrize(
+        "row", ["1,50", "1,50,5,2.5,3.0,10,0,avh,7", "1,50,x,2.5,3.0,10,0,avh"]
+    )
     def test_sweep_csv_malformed_row_rejected(self, row):
-        text = "m,n,d,mean_len,reps,seed\n1,50,5,2.5,10,0\n" + row + "\n"
-        with pytest.raises(BdmtspError, match="sweep CSV row"):
+        text = (
+            "m,n,d,open_mean,closed_mean,reps,seed,algorithm\n"
+            "1,50,5,2.5,3.0,10,0,avh\n" + row + "\n"
+        )
+        with pytest.raises(BdmtspError, match="sweep CSV row") as exc:
             sweep_from_csv(text)
+        assert row in str(exc.value)
 
-    @pytest.mark.parametrize("row", ["1,60,5,2.5,3,0", "1,60,5,2.5,10,1"])
+    @pytest.mark.parametrize("row", ["1,60,5,2.5,3.0,3,0,avh", "1,60,5,2.5,3.0,10,1,avh"])
     def test_sweep_csv_rows_must_share_reps_and_seed(self, row):
-        text = "m,n,d,mean_len,reps,seed\n1,50,5,2.5,10,0\n" + row + "\n"
+        text = (
+            "m,n,d,open_mean,closed_mean,reps,seed,algorithm\n"
+            "1,50,5,2.5,3.0,10,0,avh\n" + row + "\n"
+        )
         with pytest.raises(BdmtspError, match="reps/seed"):
             sweep_from_csv(text)
 
@@ -471,10 +477,11 @@ class TestPersistence:
 
     def test_sweep_alignment_enforced(self):
         with pytest.raises(BdmtspError):
-            SweepResult(configs=sweep_configs()[:3], y=(1.0,), reps=1, seed=0)
+            SweepResult(configs=sweep_configs()[:3], y=(1.0,), reps=1, seed=0,
+                        y_closed=(1.0,), algorithm="avh")
         with pytest.raises(BdmtspError):
             SweepResult(configs=sweep_configs()[:1], y=(1.0,), reps=1, seed=0,
-                        y_closed=(1.0, 2.0))
+                        y_closed=(1.0, 2.0), algorithm="avh")
 
 
 class TestCamModelValidation:

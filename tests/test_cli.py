@@ -240,13 +240,24 @@ class TestSweep:
 
 
 class TestCamCommands:
-    @pytest.mark.parametrize("row", ["1,50", "1,60,5,2.5,3,0"])
+    @pytest.mark.parametrize("row", ["1,50", "1,60,5,2.5,3.0,3,0,avh"])
     def test_fit_rejects_bad_sweep_csv(self, tmp_path, row, capsys):
         sweep_csv = tmp_path / "sweep.csv"
-        sweep_csv.write_text("m,n,d,mean_len,reps,seed\n1,50,5,2.5,10,0\n" + row + "\n")
+        sweep_csv.write_text(
+            "m,n,d,open_mean,closed_mean,reps,seed,algorithm\n"
+            "1,50,5,2.5,3.0,10,0,avh\n" + row + "\n"
+        )
         rc = cli.main(["cam-fit", "--sweep", str(sweep_csv)])
         assert rc == 2
-        assert "sweep CSV" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "sweep CSV row" in err and repr(row) in err
+
+    def test_fit_rejects_the_open_only_header(self, tmp_path, capsys):
+        sweep_csv = tmp_path / "sweep.csv"
+        sweep_csv.write_text("m,n,d,mean_len,reps,seed\n1,50,5,2.5,10,0\n")
+        rc = cli.main(["cam-fit", "--sweep", str(sweep_csv)])
+        assert rc == 2
+        assert "header m,n,d,open_mean" in capsys.readouterr().err
 
     def test_fit_then_predict(self, tmp_path, capsys):
         # 80 desk-scale configurations so the 64-column fit is determined
@@ -259,28 +270,17 @@ class TestCamCommands:
         result = run_sweep(ExperimentSpec(configs=configs, reps=1, seed=5))
         sweep_csv = tmp_path / "sweep.csv"
         sweep_csv.write_text(sweep_to_csv(result))
-        # the same open means in the old open-only format
-        old_csv = tmp_path / "old.csv"
-        old_csv.write_text(
-            "m,n,d,mean_len,reps,seed\n"
-            + "".join(f"{c.m},{c.n},{c.d},{v!r},1,5\n" for c, v in zip(configs, result.y))
-        )
-        X = feature_matrix(configs)
         model_path = tmp_path / "model.json"
-        for path, y, first_line in (
-            (old_csv, result.y,
-             f"fitting open-walk means: {old_csv} has no closed means (seed 5, reps 1)"),
-            (sweep_csv, result.y_closed, "fitting closed-walk means of avh (seed 5, reps 1)"),
-        ):
-            rc = cli.main(["cam-fit", "--sweep", str(path), "--keep", "3",
-                           "--out", str(model_path)])
-            assert rc == 0
-            out = capsys.readouterr().out
-            assert out.splitlines()[0] == first_line
-            assert "features" in out and "mape" in out and "cp" in out
-            model = model_from_json(model_path.read_text())
-            assert model.terms == step_model(backward_select(X, np.asarray(y))[2]).terms
-            assert model.provenance == "fitted"
+        rc = cli.main(["cam-fit", "--sweep", str(sweep_csv), "--keep", "3",
+                       "--out", str(model_path)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "fitting closed-walk means of avh (seed 5, reps 1)"
+        assert "features" in out and "mape" in out and "cp" in out
+        model = model_from_json(model_path.read_text())
+        X = feature_matrix(configs)
+        assert model.terms == step_model(backward_select(X, np.asarray(result.y_closed))[2]).terms
+        assert model.provenance == "fitted"
 
         rc = cli.main(["cam-predict", "--model", str(model_path), "2", "40", "5"])
         assert rc == 0
@@ -318,8 +318,9 @@ class TestCamCommands:
     def test_fit_keep_out_of_range_exits_2(self, tmp_path, keep, capsys):
         sweep_csv = tmp_path / "sweep.csv"
         sweep_csv.write_text(
-            "m,n,d,mean_len,reps,seed\n"
-            + "".join(f"{m},{n},5,{m + n / 10},1,0\n" for m in (1, 2) for n in (50, 60))
+            "m,n,d,open_mean,closed_mean,reps,seed,algorithm\n"
+            + "".join(f"{m},{n},5,{m + n / 10},{m + n / 5},1,0,avh\n"
+                      for m in (1, 2) for n in (50, 60))
         )
         rc = cli.main(["cam-fit", "--sweep", str(sweep_csv), "--keep", keep])
         assert rc == 2
@@ -359,7 +360,9 @@ class TestCamCommands:
 
     def test_fit_overflow_exits_2(self, tmp_path, capsys):
         sweep_csv = tmp_path / "sweep.csv"
-        sweep_csv.write_text(f"m,n,d,mean_len,reps,seed\n1,{10**400},5,2.5,1,0\n")
+        sweep_csv.write_text(
+            f"m,n,d,open_mean,closed_mean,reps,seed,algorithm\n1,{10**400},5,2.5,3.0,1,0,avh\n"
+        )
         rc = cli.main(["cam-fit", "--sweep", str(sweep_csv)])
         assert rc == 2
         assert "overflow" in capsys.readouterr().err
