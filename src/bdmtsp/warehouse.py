@@ -27,7 +27,6 @@ __all__ = [
     "AisleSpec",
     "WarehouseNetwork",
     "TransferJob",
-    "shortest_path",
     "shortest_path_route",
     "transfer_jobs",
     "jobs_to_instance",
@@ -216,13 +215,6 @@ def _dijkstra(
             dist[leaf] = dist[up[0]] + up[1]
             prev[leaf] = up[0]
     return dist, prev
-
-
-def shortest_path(net: WarehouseNetwork, a: str, b: str) -> float:
-    """Length of a shortest a-b path in meters."""
-    target = net.rank_of(b)
-    dist, _ = _dijkstra(net, net.rank_of(a), (target,))
-    return dist[target]
 
 
 def shortest_path_route(net: WarehouseNetwork, a: str, b: str) -> tuple[tuple[str, ...], float]:

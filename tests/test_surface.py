@@ -1,7 +1,8 @@
-"""Public surface: exported names resolve, every caller shares one registry,
-and the names the benchmark tracer rebinds exist."""
+"""Public surface: exported names resolve and have callers, every caller
+shares one registry, and the names the benchmark tracer rebinds exist."""
 
 import argparse
+import ast
 import importlib
 import pathlib
 import sys
@@ -11,7 +12,8 @@ import pytest
 import bdmtsp.harness
 from bdmtsp import cam, cli, solvers
 
-PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 MODULES = ("assignment", "cam", "core", "geometry", "harness", "io", "solvers", "warehouse")
 
@@ -21,6 +23,34 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"bdmtsp.{name}")
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def _referenced_names():
+    """Every name that code outside the tests reads, calls or imports."""
+    names = set()
+    for path in (p for d in ("src", "scripts", "perfbench") for p in (ROOT / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_exported_function_has_a_caller():
+    # library code without a caller in the package, the scripts or the
+    # benchmark gets one or goes; a test alone does not keep it
+    referenced = _referenced_names()
+    uncalled = []
+    for name in MODULES:
+        module = importlib.import_module(f"bdmtsp.{name}")
+        for attr in module.__all__:
+            obj = getattr(module, attr)
+            if callable(obj) and not isinstance(obj, type) and attr not in referenced:
+                uncalled.append(f"{name}.{attr}")
+    assert uncalled == []
 
 
 def _choices(dest):

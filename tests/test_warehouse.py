@@ -16,7 +16,6 @@ from bdmtsp.warehouse import (
     occupancy,
     parse_jobs_csv,
     parse_layout,
-    shortest_path,
     shortest_path_route,
     transfer_jobs,
 )
@@ -32,9 +31,9 @@ PATH_NET = WarehouseNetwork(
 
 
 def test_shortest_path_identity_and_chain():
-    assert shortest_path(PATH_NET, "a", "a") == 0.0
-    assert shortest_path(PATH_NET, "a", "c") == 5.0
-    assert shortest_path(PATH_NET, "c", "a") == 5.0
+    assert shortest_path_route(PATH_NET, "a", "a")[1] == 0.0
+    assert shortest_path_route(PATH_NET, "a", "c")[1] == 5.0
+    assert shortest_path_route(PATH_NET, "c", "a")[1] == 5.0
 
 
 def test_shortest_path_route_nodes():
@@ -65,9 +64,9 @@ def test_shortest_path_route_rejects_a_broken_predecessor_chain(monkeypatch, tar
 
 def test_shortest_path_unknown_node():
     with pytest.raises(BdmtspError):
-        shortest_path(PATH_NET, "a", "zz")
+        shortest_path_route(PATH_NET, "a", "zz")[1]
     with pytest.raises(BdmtspError):
-        shortest_path(PATH_NET, "zz", "a")
+        shortest_path_route(PATH_NET, "zz", "a")[1]
 
 
 def test_disconnected_network_rejected_at_construction():
@@ -97,7 +96,7 @@ def test_shortest_paths_match_floyd_warshall_oracle():
         oracle = reference.floyd_warshall(net.node_ids, net.edges)
         for a in net.node_ids[:: max(1, n // 7)]:
             for b in net.node_ids:
-                assert shortest_path(net, a, b) == pytest.approx(
+                assert shortest_path_route(net, a, b)[1] == pytest.approx(
                     oracle[a][b], rel=1e-12, abs=1e-12
                 )
 
@@ -193,7 +192,7 @@ def test_jobs_to_instance_accepts_long_paths_summed_in_reverse():
     )
     net = WarehouseNetwork(nodes=nodes, edges=edges)
     jobs = transfer_jobs(net, [("j", "p000", "p199")])
-    assert abs(shortest_path(net, "p199", "p000") - jobs[0].internal_len) > 1e-9
+    assert abs(shortest_path_route(net, "p199", "p000")[1] - jobs[0].internal_len) > 1e-9
     _, internal = jobs_to_instance(net, jobs, depot="p100")
     assert internal == jobs[0].internal_len
 
@@ -220,7 +219,7 @@ def test_jobs_to_instance_runs_one_tree_per_distinct_start(monkeypatch):
     starts = ["a0.0"] + [dest for _, _, dest in triples]
     monkeypatch.setattr("bdmtsp.warehouse._dijkstra", real)
     expect = [
-        [0.0 if j == k else shortest_path(net, s, e) for k, e in enumerate(ends)]
+        [0.0 if j == k else shortest_path_route(net, s, e)[1] for k, e in enumerate(ends)]
         for j, s in enumerate(starts)
     ]
     assert inst.dist.tolist() == expect
@@ -273,7 +272,7 @@ def test_grid_corridor():
     net = grid_network(1, 2)
     assert len(net.nodes) == 2
     assert len(net.edges) == 1
-    assert shortest_path(net, "a0.0", "a0.1") == 2.0
+    assert shortest_path_route(net, "a0.0", "a0.1")[1] == 2.0
 
 
 def test_grid_closed_form_counts():
@@ -283,12 +282,12 @@ def test_grid_closed_form_counts():
     shelf = grid_network(3, 3, AisleSpec(shelf_len=0.8))
     assert len(shelf.nodes) == 18
     assert len(shelf.edges) == 12 + 9
-    assert shortest_path(shelf, "s0.0", "a0.0") == 0.8
+    assert shortest_path_route(shelf, "s0.0", "a0.0")[1] == 0.8
 
 
 def test_grid_distances_are_rectilinear():
     net = grid_network(4, 6, AisleSpec(dx=1.5, dy=2.0))
-    assert shortest_path(net, "a0.0", "a3.5") == pytest.approx(5 * 1.5 + 3 * 2.0)
+    assert shortest_path_route(net, "a0.0", "a3.5")[1] == pytest.approx(5 * 1.5 + 3 * 2.0)
 
 
 def test_grid_rejects_degenerate():
@@ -322,7 +321,7 @@ edge b c 3
 def test_parse_layout_with_defaults_and_comments():
     net = parse_layout(LAYOUT_TEXT)
     assert net.node_ids == ("a", "b", "c")
-    assert shortest_path(net, "a", "c") == 5.0
+    assert shortest_path_route(net, "a", "c")[1] == 5.0
 
 
 def test_default_edge_length_is_the_planar_kernel():
@@ -418,7 +417,7 @@ def test_dijkstra_stops_at_its_target():
     net = grid_network(3, 8, AisleSpec(shelf_len=1.0))
     for a, b in (("s0.0", "s0.1"), ("s0.0", "a0.1"), ("a0.0", "s0.1")):
         dist, prev = _dijkstra(net, net.rank_of(a), (net.rank_of(b),))
-        assert dist[net.rank_of(b)] == shortest_path(net, a, b)
+        assert dist[net.rank_of(b)] == shortest_path_route(net, a, b)[1]
         for far in ("a2.7", "s2.7"):
             assert (dist[net.rank_of(far)], prev[net.rank_of(far)]) == (math.inf, -1)
 
@@ -485,7 +484,7 @@ def test_shortest_paths_equal_string_keyed_oracle(net):
         assert preds[net.rank_of(a)] == -1
         assert {b: net.ranked_ids[r] for b, r in zip(net.ranked_ids, preds) if b != a} == prev
         for b in ids:
-            assert shortest_path(net, a, b) == dist[b]
+            assert shortest_path_route(net, a, b)[1] == dist[b]
             walk, length = shortest_path_route(net, a, b)
             assert walk == reference.walk_from_tree(prev, a, b)
             assert length == dist[b]
