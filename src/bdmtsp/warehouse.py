@@ -59,19 +59,11 @@ class WarehouseNetwork:
                 raise BdmtspError("self-loop edges are not allowed")
             if not (w > 0) or not math.isfinite(w):
                 raise BdmtspError("edge lengths must be positive and finite")
-        # connectivity (single component) is part of the contract
-        adjacency = self.ranked_adjacency
-        start = self.rank[ids[0]]
-        seen = [False] * len(adjacency)
-        seen[start] = True
-        frontier = [start]
-        while frontier:
-            for nbr, _ in adjacency[frontier.pop()]:
-                if not seen[nbr]:
-                    seen[nbr] = True
-                    frontier.append(nbr)
-        if not all(seen):
-            missing = [nid for nid, hit in zip(self.ranked_ids, seen) if not hit][:5]
+        # connectivity (single component) is part of the contract: the
+        # error lists the ids that the first listed node cannot reach
+        dist, _ = _dijkstra(self, self.rank[ids[0]], range(len(ids)))
+        missing = [nid for nid, d in zip(self.ranked_ids, dist) if d == math.inf][:5]
+        if missing:
             raise BdmtspError(f"network is disconnected (e.g. {missing})")
 
     @property
@@ -92,35 +84,28 @@ class WarehouseNetwork:
         return {nid: r for r, nid in enumerate(self.ranked_ids)}
 
     @cached_property
-    def ranked_adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """Per rank, the (neighbour rank, length) pairs in edge order."""
-        adj: list[list[tuple[int, float]]] = [[] for _ in self.ranked_ids]
-        rank = self.rank
-        for a, b, w in self.edges:
-            adj[rank[a]].append((rank[b], w))
-            adj[rank[b]].append((rank[a], w))
-        return tuple(tuple(v) for v in adj)
-
-    @cached_property
-    def contracted_adjacency(self) -> tuple[tuple, tuple, tuple[int, ...]]:
-        """``ranked_adjacency`` with the leaves split off, for ``_dijkstra``.
+    def contracted_adjacency(self) -> tuple[tuple, tuple]:
+        """The adjacency with the leaves split off, for ``_dijkstra``.
 
         A leaf has exactly one distinct neighbour, its parent, and the
         parent has more than one (so a 2-node network has no leaves).
-        Returns, per rank, the (parent, length) pair if the rank is a
-        leaf, else None; per rank, the non-leaf neighbour pairs in edge
-        order; and the leaf ranks.  Over parallel edges a leaf keeps the
-        shortest (first of equals).  Every pair is an object of
-        ``ranked_adjacency``.
+        Returns, per rank, the (parent rank, length) pair if the rank is a
+        leaf, else None; and per rank, the (neighbour rank, length) pairs
+        of its non-leaf neighbours in edge order.  Over parallel edges a
+        leaf keeps the shortest (first of equals).
         """
-        adjacency = self.ranked_adjacency
+        adjacency: list[list[tuple[int, float]]] = [[] for _ in self.ranked_ids]
+        rank = self.rank
+        for a, b, w in self.edges:
+            adjacency[rank[a]].append((rank[b], w))
+            adjacency[rank[b]].append((rank[a], w))
         degree = [len({nbr for nbr, _ in pairs}) for pairs in adjacency]
         parent = tuple(
             min(pairs, key=itemgetter(1)) if degree[r] == 1 and degree[pairs[0][0]] > 1 else None
             for r, pairs in enumerate(adjacency)
         )
         core = tuple(tuple(p for p in pairs if parent[p[0]] is None) for pairs in adjacency)
-        return parent, core, tuple(r for r, up in enumerate(parent) if up)
+        return parent, core
 
     def rank_of(self, node: str) -> int:
         try:
@@ -137,6 +122,8 @@ class TransferJob:
     ``dest``, and ``internal_len`` its length.  ``transfer_jobs`` takes
     both from one shortest-path run, and ``expand_route`` splices the walk
     into each route as it is, so a route's inside legs run no search.
+    ``jobs_to_instance`` checks that each step of the walk is an edge, that
+    the walk's length is ``internal_len`` and that this is a shortest one.
     """
 
     id: str
@@ -155,38 +142,36 @@ class TransferJob:
 
 
 def _dijkstra(
-    net: WarehouseNetwork, source: int, targets: Sequence[int] | None = None
+    net: WarehouseNetwork, source: int, targets: Sequence[int]
 ) -> tuple[list[float], list[int]]:
     """Shortest-path labels and predecessors from rank ``source``.
 
     Only non-leaf ranks enter the heap (see ``contracted_adjacency``).
     A leaf source seeds its parent with ``0.0 + w``; once the heap is
-    done, each leaf (all of them for a full tree, else just the leaves
-    among ``targets``) gets its parent's label plus ``w``, and the parent
-    as predecessor.  That is the plain Dijkstra's tree bit for bit: float
-    addition is monotone and ``fl(x + w) >= x`` for ``w > 0``, so a
-    relaxation out of a leaf (back to its parent, the only neighbour)
-    never strictly improves a label, and the heap entries dropped here
-    could never set a label or a predecessor.  Non-leaf ranks pop in the
-    same ``(d, rank)`` order and relax their neighbours in the same edge
-    order, and over parallel edges ``d + min(w)`` is the smallest sum.
+    done, each leaf among ``targets`` gets its parent's label plus ``w``,
+    and the parent as predecessor.  That is the plain Dijkstra's tree bit
+    for bit: float addition is monotone and ``fl(x + w) >= x`` for
+    ``w > 0``, so a relaxation out of a leaf (back to its parent, the
+    only neighbour) never strictly improves a label, and the heap entries
+    dropped here could never set a label or a predecessor.  Non-leaf
+    ranks pop in the same ``(d, rank)`` order and relax their neighbours
+    in the same edge order, and over parallel edges ``d + min(w)`` is the
+    smallest sum.
 
-    With ``targets`` (duplicates and ``source`` allowed) the run stops
-    once every target, or a leaf target's parent, has popped: popped
-    labels are final, so each target's distance and predecessor chain
-    already equal the full tree's.  Other ranks' entries are then
-    partial.  ``None`` runs the full tree.
+    The run stops once every target (duplicates and ``source`` allowed),
+    or a leaf target's parent, has popped: popped labels are final, so
+    each target's distance and predecessor chain already equal the full
+    tree's.  Other ranks' entries are then partial.  Every rank as a
+    target gives the full tree: each reachable non-leaf rank pops before
+    the stop, and an unreachable rank keeps ``inf``.
     """
-    parent, core, leaves = net.contracted_adjacency
+    parent, core = net.contracted_adjacency
     dist = [math.inf] * len(core)
     prev = [-1] * len(core)
     dist[source] = 0.0
-    if targets is None:
-        waiting: set[int] = set()  # never met, so the heap runs dry
-    else:
-        waiting = {parent[t][0] if parent[t] else t for t in targets if t != source}
-        if not waiting:
-            return dist, prev
+    waiting = {parent[t][0] if parent[t] else t for t in targets if t != source}
+    if not waiting:
+        return dist, prev
     if parent[source]:
         top, w = parent[source]
         dist[top] = 0.0 + w
@@ -209,7 +194,7 @@ def _dijkstra(
                 dist[nbr] = nd
                 prev[nbr] = cur
                 heappush(heap, (nd, nbr))
-    for leaf in leaves if targets is None else targets:
+    for leaf in targets:
         up = parent[leaf]
         if up and leaf != source:
             dist[leaf] = dist[up[0]] + up[1]
@@ -270,18 +255,32 @@ def jobs_to_instance(
     ends = [net.rank_of(depot)] + [net.rank_of(job.source) for job in jobs]
     starts = [ends[0]] + [net.rank_of(job.dest) for job in jobs]
     rows: dict[int, list[float]] = {}
+    parent, core = net.contracted_adjacency
     mat = np.zeros((len(ends), len(ends)))
     for j, start in enumerate(starts):
         if start not in rows:
             dist, _ = _dijkstra(net, start, ends)
             rows[start] = [dist[end] for end in ends]
         row = rows[start]
-        if j and not math.isclose(row[j], jobs[j - 1].internal_len, rel_tol=1e-9, abs_tol=1e-9):
-            job = jobs[j - 1]
-            raise BdmtspError(
-                f"job {job.id}: internal length {job.internal_len} does not match "
-                f"the network shortest path"
-            )
+        if j:
+            # the walk's length, summed left to right over the shortest of
+            # each step's parallel edges as _dijkstra sums, is internal_len
+            job, walked = jobs[j - 1], 0.0
+            for a, b in zip(job.walk, job.walk[1:]):
+                ra, rb = net.rank.get(a), net.rank.get(b)
+                if rb is not None and parent[rb]:
+                    ra, rb = rb, ra  # a leaf's one neighbour is its parent
+                pairs = () if ra is None else (parent[ra],) if parent[ra] else core[ra]
+                w = min((w for nbr, w in pairs if nbr == rb), default=None)
+                if w is None:
+                    raise BdmtspError(f"job {job.id}: walk step {a} -> {b} is not an edge")
+                walked += w
+            close = math.isclose(row[j], job.internal_len, rel_tol=1e-9, abs_tol=1e-9)
+            if walked != job.internal_len or not close:
+                raise BdmtspError(
+                    f"job {job.id}: internal length {job.internal_len} does not match "
+                    f"its walk ({walked}) or the network shortest path ({row[j]})"
+                )
         mat[j] = row
         mat[j, j] = 0.0
 

@@ -1,11 +1,14 @@
-"""The documented callers keep running: the README quick start and the
-warehouse demo script, so a signature change cannot silently break them."""
+"""The documented callers keep running: the README quick start, the
+README sweep-and-fit commands and the warehouse demo script, so a
+signature change cannot silently break them."""
 
 import os
 import pathlib
 import re
 import subprocess
 import sys
+
+from bdmtsp import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -30,3 +33,17 @@ def test_warehouse_demo_script_runs():
     )
     assert done.returncode == 0, done.stderr
     assert "drift" in done.stdout
+
+
+def test_readme_cli_sweep_and_fit_run(tmp_path, monkeypatch, capsys):
+    # the sweep must give cam-fit at least as many configurations as the
+    # 64 columns backward selection starts from
+    section = (ROOT / "README.md").read_text().split("Run a sweep over uniform instances", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+    commands = [line.split()[1:] for line in block.splitlines() if line.startswith("bdmtsp ")]
+    (shown,) = [line[2:] for line in block.splitlines() if line.startswith("# published_16f")]
+    assert shown.endswith("20.1386")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
+    assert shown in capsys.readouterr().out.splitlines()

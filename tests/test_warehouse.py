@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +76,20 @@ def test_disconnected_network_rejected_at_construction():
             nodes=(("a", 0, 0), ("b", 1, 0), ("c", 9, 9)),
             edges=(("a", "b", 1.0),),
         )
+
+
+def test_disconnected_network_names_what_the_first_listed_node_cannot_reach():
+    # x is listed first but ranks after a, and b and c hang off a as
+    # leaves: the message lists the ids x cannot reach, in rank order
+    nodes = tuple((nid, 0.0, 0.0) for nid in ("x", "a", "b", "c", "y"))
+    edges = (("x", "y", 1.0), ("a", "b", 1.0), ("a", "c", 1.0))
+    with pytest.raises(BdmtspError, match=r"disconnected \(e\.g\. \['a', 'b', 'c'\]\)$"):
+        WarehouseNetwork(nodes=nodes, edges=edges)
+
+
+def test_one_node_network_is_accepted():
+    net = WarehouseNetwork(nodes=(("a", 0.0, 0.0),), edges=())
+    assert shortest_path_route(net, "a", "a") == (("a",), 0.0)
 
 
 def test_network_validation():
@@ -181,6 +196,22 @@ def test_jobs_to_instance_rejects_stale_internal_length():
         jobs_to_instance(PATH_NET, jobs, depot="a")
 
 
+@pytest.mark.parametrize(
+    "walk,match",
+    [
+        # expand_route would splice the non-edge a-c into the route
+        (("a", "c"), "walk step a -> c is not an edge"),
+        # a detour of length 9 that expand_route would report as 5
+        (("a", "b", "a", "b", "c"), "internal length 5.0 does not match its walk (9.0)"),
+        (("a", "zz", "c"), "walk step a -> zz is not an edge"),
+    ],
+)
+def test_jobs_to_instance_rejects_a_walk_that_is_not_its_path(walk, match):
+    jobs = (TransferJob(id="x", source="a", dest="c", internal_len=5.0, walk=walk),)
+    with pytest.raises(BdmtspError, match=f"job x: {re.escape(match)}"):
+        jobs_to_instance(PATH_NET, jobs, depot="a")
+
+
 def test_jobs_to_instance_accepts_long_paths_summed_in_reverse():
     # A 200-node path at millimetre scale: the reverse tree sums the same
     # edges in the other order, and the two sums differ by about 3e-9.
@@ -208,7 +239,7 @@ def test_jobs_to_instance_runs_one_tree_per_distinct_start(monkeypatch):
     runs = []
     real = _dijkstra
 
-    def counted(net, source, targets=None):
+    def counted(net, source, targets):
         runs.append(net.ranked_ids[source])
         return real(net, source, targets)
 
@@ -403,12 +434,10 @@ TIE_LAYOUTS = [
 def test_contracted_adjacency_by_hand():
     for net in TIE_LAYOUTS[3:5]:  # 2-node nets, with and without parallel edges
         assert net.contracted_adjacency[0] == (None, None)
-    hub, p, q, r, s = range(5)
-    parent, core, leaves = STAR_NET.contracted_adjacency
+    hub = 0  # ranks: hub, p, q, r, s
+    parent, core = STAR_NET.contracted_adjacency
     assert parent == (None, (hub, 1.0), (hub, 1.0), (hub, 2.0), (hub, 2.0))
     assert core == ((), ((hub, 1.0),), ((hub, 1.0),), ((hub, 2.0),), ((hub, 3.0), (hub, 2.0)))
-    assert leaves == (p, q, r, s)
-    assert parent[s] is STAR_NET.ranked_adjacency[s][1]
 
 
 def test_dijkstra_stops_at_its_target():
@@ -441,7 +470,7 @@ def test_dijkstra_to_targets_equals_the_full_tree(net):
     rng = np.random.default_rng(47)
     n = len(net.node_ids)
     for source in range(n):
-        full, full_prev = _dijkstra(net, source)
+        full, full_prev = _dijkstra(net, source, range(n))
         # the source alone is settled before any search
         alone = ([math.inf] * n, [-1] * n)
         alone[0][source] = 0.0
@@ -479,7 +508,7 @@ def test_shortest_paths_equal_string_keyed_oracle(net):
     ids = net.node_ids
     for a in ids:
         dist, prev = reference.dijkstra_by_id(ids, net.edges, a)
-        labels, preds = _dijkstra(net, net.rank_of(a))
+        labels, preds = _dijkstra(net, net.rank_of(a), range(len(ids)))
         assert [x.hex() for x in labels] == [dist[b].hex() for b in net.ranked_ids]
         assert preds[net.rank_of(a)] == -1
         assert {b: net.ranked_ids[r] for b, r in zip(net.ranked_ids, preds) if b != a} == prev
