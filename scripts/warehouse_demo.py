@@ -12,7 +12,7 @@ import argparse
 import numpy as np
 
 from bdmtsp.core import DynamicsScope, Fleet, build_schedule
-from bdmtsp.solvers import bd_avh
+from bdmtsp.solvers import solve
 from bdmtsp.warehouse import (
     AisleSpec,
     expand_route,
@@ -46,7 +46,7 @@ def main() -> int:
     instance, internal = jobs_to_instance(net, jobs, depot)
     fleet = Fleet(m=args.m)
     schedule = build_schedule(DynamicsScope.absolute(args.visibility), instance, args.m)
-    routes = bd_avh(instance, fleet, schedule, closed=True)
+    _, routes = solve("avh", instance, fleet, schedule)
 
     print(f"layout: {args.rows}x{args.cols} aisle grid, {len(net.nodes)} nodes, "
           f"{len(shelves)} shelf stubs")

@@ -19,47 +19,37 @@ from .harness import (
     reproduce_table,
     run_sweep,
 )
-from .solvers import ALGORITHMS
+from .solvers import ALGORITHMS, solve
 
 
-def _routes_payload(instance, routes):
-    return {
-        "instance": instance.name,
-        "closed": routes.closed,
-        "total": routes.total,
-        "routes": [
-            {"nodes": list(route), "length": length}
-            for route, length in zip(routes.routes, routes.lengths)
-        ],
-    }
-
-
-def _print_routes(instance, routes, out_path: str | None) -> None:
-    payload = _routes_payload(instance, routes)
-    text = json.dumps(payload, indent=2)
-    if out_path:
-        Path(out_path).write_text(text + "\n")
-    print(f"instance {instance.name}: total {routes.total:.3f} "
-          f"({'closed' if routes.closed else 'open'})")
-    for i, (route, length) in enumerate(zip(routes.routes, routes.lengths)):
-        stops = len(route) - 1
-        print(f"  vehicle {i}: {stops} stops, length {length:.3f}")
-    if out_path:
-        print(f"wrote {out_path}")
-
-
-def _route(args, instance, capacity, closed: bool):
-    """Solve ``instance`` with the fleet, scope and algorithm in ``args``."""
+def _route(args, instance, capacity):
+    """Open and closed routes of one solve with the fleet, scope and algorithm in ``args``."""
     scope = parse_scope(args.scope)
     fleet = Fleet(m=args.m, capacity=capacity)
     schedule = build_schedule(scope, instance, args.m)
-    return ALGORITHMS[args.algorithm](instance, fleet, schedule, closed=closed)
+    return solve(args.algorithm, instance, fleet, schedule)
 
 
 def _cmd_solve(args) -> int:
     instance = bio.parse_tsplib(bio.read_text(args.instance))
-    routes = _route(args, instance, args.capacity, args.closed)
-    _print_routes(instance, routes, args.out)
+    open_, closed = _route(args, instance, args.capacity)
+    rows = list(zip(open_.routes, open_.lengths, closed.lengths))
+    print(f"instance {instance.name}: total {open_.total:.3f} open, "
+          f"{closed.total:.3f} closed")
+    for i, (route, o, c) in enumerate(rows):
+        print(f"  vehicle {i}: {len(route) - 1} stops, length {o:.3f} open, {c:.3f} closed")
+    if args.out:
+        payload = {
+            "instance": instance.name,
+            "open_total": open_.total,
+            "closed_total": closed.total,
+            "routes": [
+                {"nodes": list(route), "open_length": o, "closed_length": c}
+                for route, o, c in rows
+            ],
+        }
+        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+        print(f"wrote {args.out}")
     return 0
 
 
@@ -143,7 +133,7 @@ def _cmd_warehouse(args) -> int:
     net = wh.parse_layout(bio.read_text(args.layout))
     jobs = wh.parse_jobs_csv(bio.read_text(args.jobs), net)
     instance, internal = wh.jobs_to_instance(net, jobs, args.depot)
-    routes = _route(args, instance, args.capacity, closed=True)
+    _, routes = _route(args, instance, args.capacity)
     print(f"jobs {len(jobs)}, job-level total {routes.total:.3f}, "
           f"internal {internal:.3f}")
     grand = 0.0
@@ -174,11 +164,12 @@ def _cmd_taxi(args) -> int:
         print(f"detour factor {factor:.4f}; repaired {len(outliers)} outliers")
     depot = geometry.GeoPoint(args.depot_lat, args.depot_lon)
     instance, internal = bio.trips_to_instance(trips, depot)
-    routes = _route(args, instance, None, args.closed)
-    print(f"trips {len(trips)}, m={args.m}: connecting distance {routes.total:.1f} km, "
-          f"internal trip distance {internal:.1f} km")
-    for i, (route, length) in enumerate(zip(routes.routes, routes.lengths)):
-        print(f"  taxi {i}: {len(route) - 1} trips, connecting {length:.1f} km")
+    open_, closed = _route(args, instance, None)
+    print(f"trips {len(trips)}, m={args.m}: connecting distance {open_.total:.1f} km open, "
+          f"{closed.total:.1f} km closed, internal trip distance {internal:.1f} km")
+    for i, (route, o, c) in enumerate(zip(open_.routes, open_.lengths, closed.lengths)):
+        print(f"  taxi {i}: {len(route) - 1} trips, connecting {o:.1f} km open, "
+              f"{c:.1f} km closed")
     return 0
 
 
@@ -209,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=tuple(ALGORITHMS), default="avh")
     p.add_argument("--capacity", type=int, default=None,
                    help="per-vehicle stop budget (default: balanced)")
-    p.add_argument("--closed", action="store_true", help="return to the depot")
     p.add_argument("--out", help="write routes as JSON")
     p.set_defaults(func=_cmd_solve)
 
@@ -263,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--scope", required=True)
     p.add_argument("--algorithm", choices=tuple(ALGORITHMS), default="avh")
-    p.add_argument("--closed", action="store_true")
     p.add_argument("--depot-lat", type=float, default=19.3702)
     p.add_argument("--depot-lon", type=float, default=-99.1799)
     p.add_argument("--repair-outliers", action="store_true",

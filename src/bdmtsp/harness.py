@@ -29,12 +29,11 @@ from .core import (
     build_schedule,
 )
 from .io import parse_tsplib, read_text
-from . import solvers
 # The registry object itself, not a copy: perfbench/layers.py rebinds its
-# entries (and solvers.route_lengths, and this module's build_schedule,
-# instance_for, parse_tsplib), so run_sweep and reproduce_table must look
-# all of them up at call time.
-from .solvers import ALGORITHMS as _ALGORITHMS, relative_difference
+# entries through this name, and solve looks them up at call time.  It
+# also rebinds this module's build_schedule, instance_for and parse_tsplib,
+# so run_sweep and reproduce_table must look those up at call time.
+from .solvers import ALGORITHMS as _ALGORITHMS, relative_difference, solve
 
 __all__ = [
     "ExperimentSpec",
@@ -99,16 +98,6 @@ class ExperimentSpec:
             raise BdmtspError("need at least one configuration")
 
 
-def _solve(name: str, instance: RoutingInstance, fleet: Fleet, schedule):
-    """One solve by algorithm ``name``: its open routes and their closed total.
-
-    Closing a walk adds the leg back to the depot; it changes the walk's
-    length, not its route, so one solve gives the totals of both modes.
-    """
-    routes = _ALGORITHMS[name](instance, fleet, schedule)
-    return routes, solvers.route_lengths(routes.routes, instance, closed=True)[1]
-
-
 def _solve_task(args) -> tuple[tuple[float, float], ...]:
     """(open, closed) totals of each named algorithm on one sweep instance.
 
@@ -119,8 +108,8 @@ def _solve_task(args) -> tuple[tuple[float, float], ...]:
     instance = instance_for(seed, ci, rep, config.n)
     fleet = Fleet(m=config.m)
     schedule = build_schedule(DynamicsScope.absolute(config.d), instance, config.m)
-    solves = (_solve(name, instance, fleet, schedule) for name in algorithms)
-    return tuple((routes.total, closed_total) for routes, closed_total in solves)
+    solves = (solve(name, instance, fleet, schedule) for name in algorithms)
+    return tuple((open_.total, closed.total) for open_, closed in solves)
 
 
 def _sweep_totals(spec: ExperimentSpec, algorithms: tuple[str, ...]) -> list:
@@ -402,7 +391,7 @@ def reproduce_table(table_id: str, data_dir) -> TableReport:
             scope = DynamicsScope(kind, value)
             schedule = build_schedule(scope, instance, m)
             for algorithm, pub_values in sorted(published.items()):
-                routes, closed_total = _solve(algorithm, instance, fleet, schedule)
+                open_, closed = solve(algorithm, instance, fleet, schedule)
                 rows.append(
                     TableRow(
                         instance=fname,
@@ -410,8 +399,8 @@ def reproduce_table(table_id: str, data_dir) -> TableReport:
                         scope=scope,
                         algorithm=algorithm,
                         published=float(pub_values[idx]),
-                        computed_open=routes.total,
-                        computed_closed=closed_total,
+                        computed_open=open_.total,
+                        computed_closed=closed.total,
                     )
                 )
     return TableReport(

@@ -33,6 +33,7 @@ __all__ = [
     "StepTrace",
     "bd_cvh",
     "bd_avh",
+    "solve",
     "route_lengths",
     "relative_difference",
 ]
@@ -164,6 +165,21 @@ def bd_avh(
 
 
 ALGORITHMS = {"avh": bd_avh, "cvh": bd_cvh}
+
+
+def solve(
+    name: str, instance: RoutingInstance, fleet: Fleet, schedule: tuple[int, ...]
+) -> tuple[RouteSet, RouteSet]:
+    """One solve by algorithm ``name``: its routes as open and as closed walks.
+
+    Closing a walk adds the leg back to the depot; it changes the walk's
+    length, not its route, so one solve gives both modes.  The registry
+    entry and ``route_lengths`` are looked up at call time, so a tracer
+    that rebinds them sees both.
+    """
+    open_ = ALGORITHMS[name](instance, fleet, schedule)
+    lengths, total = route_lengths(open_.routes, instance, closed=True)
+    return open_, RouteSet(routes=open_.routes, lengths=lengths, total=total, closed=True)
 
 
 def route_lengths(

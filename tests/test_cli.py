@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from bdmtsp.cam import (
     sweep_to_csv,
 )
 from bdmtsp.harness import ExperimentSpec, run_sweep
+from bdmtsp.io import parse_tsplib
+from bdmtsp.solvers import route_lengths
 from bdmtsp.warehouse import AisleSpec, grid_network
 
 import reference
@@ -68,15 +71,37 @@ class TestSolve:
         assert served == [1, 2, 3, 4]
         assert "total" in capsys.readouterr().out
 
-    def test_closed_flag_increases_total(self, tiny_instance, tmp_path):
-        open_out = tmp_path / "o.json"
-        closed_out = tmp_path / "c.json"
+    def test_closed_total_exceeds_open_total(self, tiny_instance, tmp_path):
+        out = tmp_path / "routes.json"
         cli.main(["solve", str(tiny_instance), "--m", "1", "--scope",
-                  "relative:100%", "--out", str(open_out)])
-        cli.main(["solve", str(tiny_instance), "--m", "1", "--scope",
-                  "relative:100%", "--closed", "--out", str(closed_out)])
-        assert (json.loads(closed_out.read_text())["total"]
-                > json.loads(open_out.read_text())["total"])
+                  "relative:100%", "--out", str(out)])
+        payload = json.loads(out.read_text())
+        assert payload["closed_total"] > payload["open_total"]
+
+    @pytest.mark.parametrize("algorithm", ["avh", "cvh"])
+    def test_out_lengths_are_the_route_lengths_of_both_modes(
+        self, data_dir, tmp_path, algorithm, capsys
+    ):
+        out = tmp_path / "routes.json"
+        rc = cli.main(["solve", str(data_dir / "eil51.tsp"), "--m", "3", "--scope",
+                       "absolute:4", "--algorithm", algorithm, "--out", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        instance = parse_tsplib((data_dir / "eil51.tsp").read_text())
+        routes = [r["nodes"] for r in payload["routes"]]
+        for key, closed in (("open", False), ("closed", True)):
+            lengths, total = route_lengths(routes, instance, closed=closed)
+            assert [r[f"{key}_length"] for r in payload["routes"]] == list(lengths)
+            assert payload[f"{key}_total"] == total
+        shown = capsys.readouterr().out.splitlines()[0]
+        assert shown == (f"instance eil51: total {payload['open_total']:.3f} open, "
+                         f"{payload['closed_total']:.3f} closed")
+
+    def test_closed_flag_is_gone(self, tiny_instance, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["solve", str(tiny_instance), "--m", "1", "--scope",
+                      "absolute:1", "--closed"])
+        assert "--closed" in capsys.readouterr().err
 
     def test_bad_scope_exits_2(self, tiny_instance, capsys):
         rc = cli.main(["solve", str(tiny_instance), "--m", "2", "--scope", "magic:1"])
@@ -114,11 +139,11 @@ class TestSolve:
         # past 1e150 the kernel's dx*dx could overflow to an inf total
         path = tmp_path / "far.tsp"
         out = tmp_path / "routes.json"
-        args = ["solve", str(path), "--m", "1", "--scope", "absolute:1", "--closed"]
+        args = ["solve", str(path), "--m", "1", "--scope", "absolute:1"]
         path.write_text(TINY.replace("2 1.0 0.0", "2 1e150 -1e150")
                         .replace("4 0.0 1.0", "4 -1e150 1e150"))
         assert cli.main(args + ["--out", str(out)]) == 0
-        assert np.isfinite(json.loads(out.read_text())["total"])
+        assert np.isfinite(json.loads(out.read_text())["closed_total"])
         path.write_text(TINY.replace("2 1.0 0.0", "2 1.1e150 0.0"))
         assert cli.main(args) == 2
         assert "at most 1e+150 in magnitude" in capsys.readouterr().err
@@ -422,6 +447,18 @@ class TestTaxiCommand:
         out = capsys.readouterr().out
         assert "rows 3: kept 2, dropped 1, malformed 0" in out
         assert "internal trip distance 10.0 km" in out
+
+    def test_reports_both_walk_modes(self, tmp_path, capsys):
+        csv_path = tmp_path / "trips.csv"
+        csv_path.write_text(TAXI_CSV)
+        rc = cli.main(["taxi", "--csv", str(csv_path), "--m", "2",
+                       "--scope", "absolute:1"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        kms = [[float(w) for w in re.findall(r"([\d.]+) km (?:open|closed)", line)]
+               for line in lines if "connecting" in line]
+        assert len(kms) == 3  # the total, then one line per taxi
+        assert all(len(pair) == 2 and pair[1] >= pair[0] for pair in kms)
 
     def test_all_filtered_is_failure(self, tmp_path, capsys):
         header, row = TAXI_CSV.splitlines()[:2]

@@ -1,6 +1,6 @@
 """The documented callers keep running: the README quick start, the
-README sweep-and-fit commands and the warehouse demo script, so a
-signature change cannot silently break them."""
+README solve and sweep-and-fit commands and the warehouse demo script,
+so a signature change cannot silently break them."""
 
 import os
 import pathlib
@@ -47,3 +47,16 @@ def test_readme_cli_sweep_and_fit_run(tmp_path, monkeypatch, capsys):
     for argv in commands:
         assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
     assert shown in capsys.readouterr().out.splitlines()
+
+
+def test_readme_cli_solve_prints_what_it_shows(monkeypatch, capsys):
+    section = (ROOT / "README.md").read_text().split("Solve one instance under one scope", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    (command,) = [line.split()[1:] for line in block.splitlines() if line.startswith("bdmtsp ")]
+    shown = [line[2:] for line in block.splitlines() if line.startswith("# ")]
+    shown = [line for line in shown if line.strip() != "..."]
+    assert shown[0].endswith(" closed")
+    monkeypatch.chdir(ROOT)
+    assert cli.main(command) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in shown if line not in out] == []

@@ -37,8 +37,8 @@ import numpy as np
 
 from bdmtsp.cam import sweep_configs
 from bdmtsp.core import DynamicsScope, Fleet, RoutingInstance, build_schedule
-from bdmtsp.harness import TABLE_IDS, _solve, instance_for, reproduce_table
-from bdmtsp.solvers import bd_avh
+from bdmtsp.harness import TABLE_IDS, instance_for, reproduce_table
+from bdmtsp.solvers import bd_avh, solve
 from bdmtsp.warehouse import AisleSpec, expand_route, grid_network, jobs_to_instance, transfer_jobs
 
 from conftest import random_net, tie_net
@@ -118,9 +118,9 @@ def compute() -> dict:
     for label, inst, m, scope in _cases():
         schedule = build_schedule(scope, inst, m)
         for name in ("avh", "cvh"):
-            routes, closed = _solve(name, inst, Fleet(m=m), schedule)
+            open_, closed = solve(name, inst, Fleet(m=m), schedule)
             solves[f"{label} {name}"] = (
-                f"{_routes_digest(routes.routes)} {routes.total.hex()} {closed.hex()}"
+                f"{_routes_digest(open_.routes)} {open_.total.hex()} {closed.total.hex()}"
             )
     cells = {}
     for table_id in TABLE_IDS:

@@ -98,6 +98,24 @@ def test_cli_algorithm_choices_come_from_the_registry():
     assert all(c == tuple(solvers.ALGORITHMS) for c in choices.values())
 
 
+def test_no_subcommand_chooses_a_walk_mode():
+    # every command reports both modes from one solve
+    assert _choices("closed") == {}
+
+
+def test_only_solvers_passes_the_closed_keyword():
+    # the closing leg is added in one place, solvers.solve; other modules
+    # take the closed routes it returns
+    calls = []
+    for path in (p for d in ("src", "scripts") for p in (ROOT / d).rglob("*.py")):
+        if path.name == "solvers.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and any(k.arg == "closed" for k in node.keywords):
+                calls.append(f"{path.relative_to(ROOT).as_posix()}:{node.lineno}")
+    assert calls == []
+
+
 def test_cli_published_choices_come_from_the_models():
     choices = _choices("published")
     assert choices == {"cam-predict": ("3f", "9f", "16f")}
@@ -140,8 +158,8 @@ def test_perfbench_tracer_rebinds_and_restores_every_target(monkeypatch):
 
 def test_traced_sweep_sees_both_route_lengths_calls_per_solve(monkeypatch):
     # each solve measures its routes open (in the dispatch) and closed
-    # (in harness._solve); the tracer sees the second call only if the
-    # harness looks route_lengths up at call time
+    # (in solvers.solve); the tracer sees the second call only if solve
+    # looks route_lengths up at call time
     tracer = _tracer(monkeypatch)
     configs = (cam.Configuration(2, 12, 3), cam.Configuration(3, 15, 4))
     spec = bdmtsp.harness.ExperimentSpec(configs=configs, reps=2, seed=1, workers=1)
