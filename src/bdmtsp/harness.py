@@ -22,6 +22,7 @@ from .cam import Configuration, SweepResult
 from .core import (
     _SCOPE_KINDS,
     _is_count,
+    _sum_left,
     BdmtspError,
     DynamicsScope,
     Fleet,
@@ -140,7 +141,9 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
     """Solve every configuration reps times; record mean open and closed totals.
 
     Task seeding depends only on (seed, config index, rep), never on
-    scheduling, so the means are invariant to ``workers``.
+    scheduling, so the means are invariant to ``workers``.  Each mean is
+    a left-to-right sum divided by ``reps``, so its bits are the same on
+    every supported Python and numpy.
     """
     open_totals, closed_totals = zip(
         *(pair for (pair,) in _sweep_totals(spec, (spec.algorithm,)))
@@ -148,7 +151,7 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
 
     def means(totals) -> tuple[float, ...]:
         return tuple(
-            float(np.mean(totals[i : i + spec.reps]))
+            _sum_left(totals[i : i + spec.reps]) / spec.reps
             for i in range(0, len(totals), spec.reps)
         )
 
@@ -166,12 +169,14 @@ def compare_sweep(spec: ExperimentSpec) -> tuple[float, float]:
     """Mean paired relative difference (closest - assignment) / assignment.
 
     Returns the gap on open walks and the gap on closed walks, both from
-    the same solves.  Positive values mean the assignment policy
-    produced shorter routes on the same instances.
+    the same solves, each averaged as ``run_sweep`` averages.  Positive
+    values mean the assignment policy produced shorter routes on the same
+    instances.
     """
     totals = _sweep_totals(spec, ("avh", "cvh"))
     return tuple(
-        float(np.mean([relative_difference(avh[mode], cvh[mode]) for avh, cvh in totals]))
+        _sum_left(relative_difference(avh[mode], cvh[mode]) for avh, cvh in totals)
+        / len(totals)
         for mode in (0, 1)
     )
 

@@ -4,8 +4,7 @@
 and the ``float.hex()`` of the open and closed totals, plus both totals
 of every cell of the two reproduced tables.  Every value comes from
 discrete outputs or correctly rounded IEEE arithmetic, so it is the same
-on every conforming platform; no sweep mean and no LAPACK output is
-pinned.
+on every conforming platform; no LAPACK output is pinned.
 
 The solves cover every block form of the dispatch loop: every 7th grid
 configuration at seed 1, rep 0 (list blocks and, at the larger windows,
@@ -20,6 +19,14 @@ job's internal length, the job matrix bytes, the internal total, the
 a shelf grid, a tie-heavy tree with parallel edges and a net with random
 edge lengths; the grid's lengths are binary-exact and sum without
 rounding, so only the random net shows a change in summation order.
+
+A fourth part pins the sweep means: the open and closed means of ``avh``
+and ``cvh`` and both ``compare_sweep`` gaps on a 12-configuration slice
+of the grid, 10 reps at seed 1.  A mean is a left-to-right sum divided by
+the rep count.  At 2 reps no configuration's mean tells that sum from
+``np.mean``'s pairwise one; at 10 reps 3 to 5 of the 12 means of each
+policy and mode do, and so does the open gap, so a change of summation
+order in ``run_sweep`` or ``compare_sweep`` fails here.
 
 Regenerate the file only for a deliberate, named bit change::
 
@@ -37,7 +44,14 @@ import numpy as np
 
 from bdmtsp.cam import sweep_configs
 from bdmtsp.core import DynamicsScope, Fleet, RoutingInstance, build_schedule
-from bdmtsp.harness import TABLE_IDS, instance_for, reproduce_table
+from bdmtsp.harness import (
+    TABLE_IDS,
+    ExperimentSpec,
+    compare_sweep,
+    instance_for,
+    reproduce_table,
+    run_sweep,
+)
 from bdmtsp.solvers import bd_avh, solve
 from bdmtsp.warehouse import AisleSpec, expand_route, grid_network, jobs_to_instance, transfer_jobs
 
@@ -113,6 +127,22 @@ def warehouse_digests() -> dict:
     return digests
 
 
+SWEEP_CONFIGS = sweep_configs(ms=(1, 3, 7), ns=(50, 100), ds=(5, 30))
+
+
+def sweep_bits() -> dict:
+    """``float.hex()`` of the pinned slice's means and gaps, by label."""
+    bits = {}
+    for name in ("avh", "cvh"):
+        spec = ExperimentSpec(configs=SWEEP_CONFIGS, reps=10, seed=1, algorithm=name)
+        result = run_sweep(spec)
+        for c, y, y_closed in zip(result.configs, result.y, result.y_closed):
+            bits[f"{name} m={c.m} n={c.n} d={c.d}"] = f"{y.hex()} {y_closed.hex()}"
+    gaps = compare_sweep(ExperimentSpec(configs=SWEEP_CONFIGS, reps=10, seed=1))
+    bits["gap"] = " ".join(gap.hex() for gap in gaps)
+    return bits
+
+
 def compute() -> dict:
     solves = {}
     for label, inst, m, scope in _cases():
@@ -146,8 +176,16 @@ def test_warehouse_bits_match_the_golden_file():
     assert warehouse_digests() == json.loads(GOLDEN.read_text())["warehouse"]
 
 
+def test_sweep_mean_bits_match_the_golden_file():
+    want = json.loads(GOLDEN.read_text())["sweep"]
+    got = sweep_bits()
+    assert got.keys() == want.keys()
+    moved = [k for k in want if got[k] != want[k]]
+    assert not moved, f"{len(moved)} sweep means moved, first {moved[:5]}"
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    golden = {**compute(), "warehouse": warehouse_digests()}
+    golden = {**compute(), "warehouse": warehouse_digests(), "sweep": sweep_bits()}
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
