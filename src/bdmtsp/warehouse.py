@@ -419,8 +419,15 @@ def parse_jobs_csv(text: str, net: WarehouseNetwork) -> tuple[TransferJob, ...]:
     if reader.fieldnames is None or not {"id", "source", "dest"} <= set(reader.fieldnames):
         raise ParseError("jobs CSV needs columns: id, source, dest")
     triples = []
-    for row in reader:
-        triples.append((row["id"], row["source"], row["dest"]))
+    first_row: dict[str, int] = {}
+    for k, row in enumerate(reader, start=1):
+        job_id = row["id"]
+        if job_id in first_row:
+            raise ParseError(
+                f"jobs CSV data rows {first_row[job_id]} and {k} share job id {job_id!r}"
+            )
+        first_row[job_id] = k
+        triples.append((job_id, row["source"], row["dest"]))
     if not triples:
         raise ParseError("jobs CSV contains no rows")
     return transfer_jobs(net, triples)

@@ -423,6 +423,19 @@ class TestWarehouseCommand:
         assert walk == pytest.approx(job_level + internal, abs=1e-9)
         assert "occupancy 0.1250" in out
 
+    def test_duplicate_job_id_exits_2(self, tmp_path, capsys):
+        # it once exited 0 and printed "jobs j1, j1"
+        net = grid_network(3, 4, AisleSpec(dx=2.0, dy=3.0, shelf_len=1.5))
+        layout = tmp_path / "layout.txt"
+        layout.write_text(layout_text(net))
+        jobs = tmp_path / "jobs.csv"
+        jobs.write_text("id,source,dest\nj1,s0.0,s1.2\nj2,s2.1,s0.3\nj1,s1.1,s2.3\n")
+        rc = cli.main(
+            ["warehouse", "--layout", str(layout), "--jobs", str(jobs),
+             "--depot", "a0.0", "--m", "1", "--scope", "absolute:2"]
+        )
+        assert rc == 2
+        assert "jobs CSV data rows 1 and 3 share job id 'j1'" in capsys.readouterr().err
 
     def test_overflowing_default_edge_length_exits_2(self, tmp_path, capsys):
         layout = tmp_path / "layout.txt"
