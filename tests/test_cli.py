@@ -78,13 +78,10 @@ class TestSolve:
         payload = json.loads(out.read_text())
         assert payload["closed_total"] > payload["open_total"]
 
-    @pytest.mark.parametrize("algorithm", ["avh", "cvh"])
-    def test_out_lengths_are_the_route_lengths_of_both_modes(
-        self, data_dir, tmp_path, algorithm, capsys
-    ):
+    def test_out_lengths_are_the_route_lengths_of_both_modes(self, data_dir, tmp_path, capsys):
         out = tmp_path / "routes.json"
         rc = cli.main(["solve", str(data_dir / "eil51.tsp"), "--m", "3", "--scope",
-                       "absolute:4", "--algorithm", algorithm, "--out", str(out)])
+                       "absolute:4", "--out", str(out)])
         assert rc == 0
         payload = json.loads(out.read_text())
         instance = parse_tsplib((data_dir / "eil51.tsp").read_text())
@@ -96,12 +93,6 @@ class TestSolve:
         shown = capsys.readouterr().out.splitlines()[0]
         assert shown == (f"instance eil51: total {payload['open_total']:.3f} open, "
                          f"{payload['closed_total']:.3f} closed")
-
-    def test_closed_flag_is_gone(self, tiny_instance, capsys):
-        with pytest.raises(SystemExit):
-            cli.main(["solve", str(tiny_instance), "--m", "1", "--scope",
-                      "absolute:1", "--closed"])
-        assert "--closed" in capsys.readouterr().err
 
     def test_bad_scope_exits_2(self, tiny_instance, capsys):
         rc = cli.main(["solve", str(tiny_instance), "--m", "2", "--scope", "magic:1"])
