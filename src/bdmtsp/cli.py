@@ -34,10 +34,6 @@ def _cmd_solve(args) -> int:
     instance = bio.parse_tsplib(bio.read_text(args.instance))
     open_, closed = _route(args, instance, args.capacity)
     rows = list(zip(open_.routes, open_.lengths, closed.lengths))
-    print(f"instance {instance.name}: total {open_.total:.3f} open, "
-          f"{closed.total:.3f} closed")
-    for i, (route, o, c) in enumerate(rows):
-        print(f"  vehicle {i}: {len(route) - 1} stops, length {o:.3f} open, {c:.3f} closed")
     if args.out:
         payload = {
             "instance": instance.name,
@@ -49,6 +45,11 @@ def _cmd_solve(args) -> int:
             ],
         }
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"instance {instance.name}: total {open_.total:.3f} open, "
+          f"{closed.total:.3f} closed")
+    for i, (route, o, c) in enumerate(rows):
+        print(f"  vehicle {i}: {len(route) - 1} stops, length {o:.3f} open, {c:.3f} closed")
+    if args.out:
         print(f"wrote {args.out}")
     return 0
 

@@ -143,6 +143,13 @@ class TestSolve:
         rc = cli.main(["solve", "nope.tsp", "--m", "2", "--scope", "absolute:1"])
         assert rc == 2
 
+    def test_unwritable_out_exits_2_before_printing(self, tiny_instance, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "routes.json"
+        rc = cli.main(["solve", str(tiny_instance), "--m", "1", "--scope", "absolute:1",
+                       "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().out == ""
+
     def test_huge_dimension_exits_2(self, tmp_path, capsys):
         # the rows are counted before the coordinate array is allocated
         path = tmp_path / "huge.tsp"
